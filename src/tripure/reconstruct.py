@@ -31,7 +31,7 @@ from .spectral import (
     eig_hermitian,
     match_spectra,
 )
-from .states import DensityMatrix, Dims, PureState, partial_trace
+from .states import DensityMatrix, Dims, PureState, derived_marginal
 
 # Largest tolerated deficit of sum_jk |overlap|^2 from 1 per eigenvector.
 EXPANSION_LEAK_TOL = 1e-6
@@ -341,10 +341,12 @@ def reconstruct_tripartite(
     _check_input(rho_ab, ("A", "B"), dims)
     _check_input(rho_bc, ("B", "C"), dims)
 
-    rho_a = partial_trace(rho_ab, ("A",))
-    rho_b_from_ab = partial_trace(rho_ab, ("B",))
-    rho_b_from_bc = partial_trace(rho_bc, ("B",))
-    rho_c = partial_trace(rho_bc, ("C",))
+    # Inputs were validated on construction; their partial traces need no
+    # second check.
+    rho_a = derived_marginal(rho_ab, ("A",))
+    rho_b_from_ab = derived_marginal(rho_ab, ("B",))
+    rho_b_from_bc = derived_marginal(rho_bc, ("B",))
+    rho_c = derived_marginal(rho_bc, ("C",))
 
     cross_gap = float(np.linalg.norm(rho_b_from_ab.matrix - rho_b_from_bc.matrix))
     if cross_gap > cfg.marginal_tol:
@@ -352,15 +354,17 @@ def reconstruct_tripartite(
             f"the two inputs disagree about rho_B: Frobenius gap {cross_gap:.3e} "
             f"(> {cfg.marginal_tol:.1e})"
         )
-    rho_b = DensityMatrix(
+    rho_b = DensityMatrix._derived(
         ("B",), (dims.d_b,), (rho_b_from_ab.matrix + rho_b_from_bc.matrix) / 2.0
     )
 
-    spec_ab = eig_hermitian(rho_ab, cfg.rank_threshold)
-    spec_bc = eig_hermitian(rho_bc, cfg.rank_threshold)
+    # A pure state's complementary marginals share their rank, so the
+    # single-party ranks bound the bipartite ones.
     spec_a = eig_hermitian(rho_a, cfg.rank_threshold)
     spec_b = eig_hermitian(rho_b, cfg.rank_threshold)
     spec_c = eig_hermitian(rho_c, cfg.rank_threshold)
+    spec_ab = eig_hermitian(rho_ab, cfg.rank_threshold, rank_bound=spec_c.rank)
+    spec_bc = eig_hermitian(rho_bc, cfg.rank_threshold, rank_bound=spec_a.rank)
 
     flags = []
     for name, spec in (
@@ -389,8 +393,10 @@ def reconstruct_tripartite(
         raise PhaseInconsistency(
             f"amplitude compatibility violated by {compat:.3e} after phase solving"
         )
-    residual_ab = float(np.linalg.norm(partial_trace(state, ("A", "B")).matrix - rho_ab.matrix))
-    residual_bc = float(np.linalg.norm(partial_trace(state, ("B", "C")).matrix - rho_bc.matrix))
+    out_ab = derived_marginal(state, ("A", "B")).matrix
+    out_bc = derived_marginal(state, ("B", "C")).matrix
+    residual_ab = float(np.linalg.norm(out_ab - rho_ab.matrix))
+    residual_bc = float(np.linalg.norm(out_bc - rho_bc.matrix))
     if max(residual_ab, residual_bc) > cfg.marginal_tol:
         raise MarginalInconsistency(
             f"reconstructed state fails to reproduce the inputs: residuals "

@@ -95,10 +95,18 @@ def _as_complex_matrix(data, n: int) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _reject_constant(token: str):
+    raise ContractError(f"non-finite number {token} is not allowed")
+
+
 def loads(text: str) -> PureState | DensityMatrix | GridWavefunction:
-    """Parse canonical JSON text back into the corresponding object."""
+    """Parse canonical JSON text back into the corresponding object.
+
+    ``NaN``, ``Infinity`` and ``-Infinity``, which Python's json module
+    accepts by default, are rejected as ContractError.
+    """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ContractError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

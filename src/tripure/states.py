@@ -32,7 +32,7 @@ class Dims:
 
     def __post_init__(self):
         for name, d in zip(("d_a", "d_b", "d_c"), self.as_tuple()):
-            if not isinstance(d, (int, np.integer)) or d <= 0:
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d <= 0:
                 raise ContractError(f"{name} must be a positive integer, got {d!r}")
 
     def as_tuple(self) -> tuple[int, int, int]:
@@ -66,6 +66,8 @@ class PureState:
             raise ContractError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.dims.total},)"
             )
+        if not np.isfinite(amps).all():
+            raise ContractError("amplitude vector has non-finite entries")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ContractError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
@@ -88,7 +90,9 @@ class DensityMatrix:
     ``subsystems`` is an ordered subset of ("A", "B", "C") and ``dims`` holds
     the matching per-subsystem dimensions.  Construction symmetrizes the
     matrix, (M + M^dag) / 2, when it is Hermitian within ``HERM_TOL`` and
-    rejects it otherwise.
+    rejects it otherwise.  Positive semidefiniteness is accepted from a
+    Cholesky factorization of ``M + PSD_TOL * I``; only when that fails is
+    the smallest eigenvalue computed and compared with ``-PSD_TOL``.
     """
 
     subsystems: tuple[str, ...]
@@ -109,6 +113,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (n, n):
             raise ContractError(f"matrix has shape {m.shape}, expected ({n}, {n})")
+        if not np.isfinite(m).all():
+            raise ContractError("matrix has non-finite entries")
         herm_gap = np.abs(m - m.conj().T).max()
         if herm_gap > HERM_TOL:
             raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {herm_gap:.3e}")
@@ -116,12 +122,30 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ContractError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
-        lam_min = np.linalg.eigvalsh(m)[0]
-        if lam_min < -PSD_TOL:
-            raise ContractError(f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}")
+        try:
+            np.linalg.cholesky(m + PSD_TOL * np.eye(n))
+        except np.linalg.LinAlgError:
+            lam_min = np.linalg.eigvalsh(m)[0]
+            if lam_min < -PSD_TOL:
+                raise ContractError(
+                    f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}"
+                ) from None
         object.__setattr__(self, "subsystems", subs)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _derived(cls, subsystems: tuple[str, ...], dims: tuple[int, ...], m: np.ndarray):
+        """Wrap a matrix derived from validated states without re-running the checks.
+
+        Partial traces and convex combinations of density matrices are
+        density matrices, so only the symmetrization is repeated.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "subsystems", subsystems)
+        object.__setattr__(rho, "dims", tuple(int(d) for d in dims))
+        object.__setattr__(rho, "matrix", (m + m.conj().T) / 2.0)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -145,6 +169,38 @@ def _canonical_keep(keep, available: tuple[str, ...]) -> tuple[str, ...]:
     return ordered
 
 
+def _reduce(state: PureState | DensityMatrix, keep) -> tuple[tuple, tuple, np.ndarray]:
+    """Kept labels, kept dims and the unvalidated reduced matrix."""
+    if isinstance(state, PureState):
+        available = SUBSYSTEM_LABELS
+        dims = state.dims.as_tuple()
+        kept = _canonical_keep(keep, available)
+        keep_ax = [available.index(s) for s in kept]
+        traced_ax = [ax for ax in range(3) if ax not in keep_ax]
+        t = state.as_tensor()
+        reduced = np.tensordot(t, t.conj(), axes=(traced_ax, traced_ax))
+        kept_dims = tuple(dims[ax] for ax in keep_ax)
+        n = int(np.prod(kept_dims))
+        return kept, kept_dims, reduced.reshape(n, n)
+
+    if isinstance(state, DensityMatrix):
+        available = state.subsystems
+        kept = _canonical_keep(keep, available)
+        dims = list(state.dims)
+        arr = state.matrix.reshape(*dims, *dims)
+        n_factors = len(dims)
+        for pos in sorted(
+            (available.index(s) for s in available if s not in kept), reverse=True
+        ):
+            arr = np.trace(arr, axis1=pos, axis2=pos + n_factors)
+            n_factors -= 1
+        kept_dims = tuple(state.dims[available.index(s)] for s in kept)
+        n = int(np.prod(kept_dims))
+        return kept, kept_dims, arr.reshape(n, n)
+
+    raise ContractError(f"cannot take a partial trace of {type(state).__name__}")
+
+
 def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix over the ``keep`` subsystems.
 
@@ -160,34 +216,17 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     -------
     DensityMatrix over the kept subsystems, in canonical A < B < C order.
     """
-    if isinstance(state, PureState):
-        available = SUBSYSTEM_LABELS
-        dims = state.dims.as_tuple()
-        kept = _canonical_keep(keep, available)
-        keep_ax = [available.index(s) for s in kept]
-        traced_ax = [ax for ax in range(3) if ax not in keep_ax]
-        t = state.as_tensor()
-        reduced = np.tensordot(t, t.conj(), axes=(traced_ax, traced_ax))
-        kept_dims = tuple(dims[ax] for ax in keep_ax)
-        n = int(np.prod(kept_dims))
-        return DensityMatrix(kept, kept_dims, reduced.reshape(n, n))
+    return DensityMatrix(*_reduce(state, keep))
 
-    if isinstance(state, DensityMatrix):
-        available = state.subsystems
-        kept = _canonical_keep(keep, available)
-        dims = list(state.dims)
-        arr = state.matrix.reshape(*dims, *dims)
-        n_factors = len(dims)
-        for pos in sorted(
-            (available.index(s) for s in available if s not in kept), reverse=True
-        ):
-            arr = np.trace(arr, axis1=pos, axis2=pos + n_factors)
-            n_factors -= 1
-        kept_dims = tuple(state.dims[available.index(s)] for s in kept)
-        n = int(np.prod(kept_dims))
-        return DensityMatrix(kept, kept_dims, arr.reshape(n, n))
 
-    raise ContractError(f"cannot take a partial trace of {type(state).__name__}")
+def derived_marginal(state: PureState | DensityMatrix, keep) -> DensityMatrix:
+    """``partial_trace`` without re-validating the result.
+
+    The partial trace of a validated state is a density matrix, so the
+    result carries the same matrix ``partial_trace`` would return but skips
+    the Hermiticity, trace and positivity checks.
+    """
+    return DensityMatrix._derived(*_reduce(state, keep))
 
 
 def fidelity(psi1: PureState, psi2: PureState) -> float:

@@ -93,6 +93,15 @@ class TestMarginals:
         bad.write_text("{ not json")
         assert main(["marginals", "--in", str(bad), "--keep", "A", "--out", "x"]) == 2
 
+    def test_non_finite_input_exit_2(self, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text(
+            '{"kind": "pure_state", "dims": [1, 1, 2], "data": [[NaN, 0.0], [1.0, 0.0]]}'
+        )
+        out = tmp_path / "never.json"
+        assert main(["marginals", "--in", str(bad), "--keep", "C", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestReconstruct:
     def test_haar_round_trip_with_truth(self, tmp_path):
@@ -160,6 +169,43 @@ class TestReconstruct:
             ) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_sketched_shape_byte_identical_reruns(self, tmp_path):
+        # (2,16,16): rho_BC is 256 x 256 with rank 2, so it is diagonalized by
+        # the low-rank sketch.
+        psi = gen(tmp_path, "psi.json", dims="2,16,16", seed=45)
+        files = {}
+        for keep in ("AB", "BC"):
+            files[keep] = tmp_path / f"{keep}.json"
+            assert main(
+                ["marginals", "--in", str(psi), "--keep", keep, "--out", str(files[keep])]
+            ) == 0
+        outs = []
+        for name in ("r1.json", "r2.json"):
+            out = tmp_path / name
+            assert main(
+                ["reconstruct", "--ab", str(files["AB"]), "--bc", str(files["BC"]),
+                 "--dims", "2,16,16", "--out", str(out), "--truth", str(psi)]
+            ) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert fidelity(read_matrix_file(psi), read_matrix_file(tmp_path / "r1.json")) >= (
+            1.0 - 1e-12
+        )
+
+    def test_report_timings_include_write(self, tmp_path):
+        psi = sample_haar_state(Dims(2, 3, 4), 46)
+        ab, bc = write_marginals(tmp_path, psi, "timed")
+        report = tmp_path / "report.json"
+        assert main(
+            ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,3,4",
+             "--out", str(tmp_path / "out.json"), "--report", str(report)]
+        ) == 0
+        timings = json.loads(report.read_text())["timings"]
+        assert set(timings) == {"load_s", "reconstruct_s", "write_s", "total_s"}
+        assert timings["write_s"] >= 0.0
+        parts = timings["load_s"] + timings["reconstruct_s"] + timings["write_s"]
+        assert abs(timings["total_s"] - parts) <= 1e-9
 
     def test_tolerance_flag_is_applied(self, tmp_path):
         psi = sample_haar_state(Dims(2, 2, 2), 4)

@@ -96,3 +96,13 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ContractError):
             read_matrix_file(tmp_path / "absent.json")
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_loads_rejects_non_finite_tokens(self, token):
+        doc = json.loads(dumps(sample_haar_state(Dims(2, 2, 2), 3)))
+        doc["data"][0][0] = token
+        text = json.dumps(doc).replace(f'"{token}"', token)
+        with pytest.raises(ContractError, match="non-finite"):
+            loads(text)

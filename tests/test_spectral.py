@@ -4,6 +4,7 @@ import pytest
 from tripure import (
     ContractError,
     DensityMatrix,
+    Dims,
     GenericityViolation,
     NumericalError,
     SpectrumMismatch,
@@ -11,11 +12,12 @@ from tripure import (
     eig_hermitian,
     match_spectra,
     partial_trace,
+    reconstruct_tripartite,
 )
 from tripure.spectral import RANK_LEAK_TOL, SpectralDecomposition
 
 from conftest import haar
-from oracles import partial_trace_pure_loops
+from oracles import haar_unitary, partial_trace_pure_loops
 
 
 def spec_of(vals, vecs=None):
@@ -143,3 +145,102 @@ class TestMatchSpectra:
         spec_bc = eig_hermitian(partial_trace(psi, ("B", "C")))
         assert spec_a.rank == spec_bc.rank
         assert np.abs(spec_a.eigenvalues - spec_bc.eigenvalues).max() <= 1e-10
+
+
+def spy_eigh(monkeypatch):
+    """Record the size of every numpy.linalg.eigh call; returns the list."""
+    sizes = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def density_with_spectrum(vals, n, seed):
+    """n x n density matrix with the given nonzero eigenvalues on a random basis."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, len(vals))) + 1j * rng.standard_normal((n, len(vals)))
+    q, _ = np.linalg.qr(z)
+    vals = np.asarray(vals, dtype=float) / np.sum(vals)
+    return DensityMatrix(("A",), (n,), (q * vals) @ q.conj().T)
+
+
+class TestLowRankSketch:
+    @pytest.mark.parametrize(
+        "dims,keep,bound_label",
+        [((4, 32, 32), ("B", "C"), ("A",)), ((8, 64, 8), ("A", "B"), ("C",))],
+    )
+    def test_sketch_matches_full_solve(self, monkeypatch, dims, keep, bound_label):
+        psi = haar(*dims, 71)
+        rho = partial_trace(psi, keep)
+        bound = eig_hermitian(partial_trace(psi, bound_label)).rank
+        full = eig_hermitian(rho)
+        sizes = spy_eigh(monkeypatch)
+        sketched = eig_hermitian(rho, rank_bound=bound)
+        assert max(sizes) < 512
+        assert sketched.rank == full.rank == bound
+        assert np.abs(sketched.eigenvalues - full.eigenvalues).max() <= 1e-13
+        proj_full = full.eigenvectors @ full.eigenvectors.conj().T
+        proj_sketch = sketched.eigenvectors @ sketched.eigenvectors.conj().T
+        assert np.abs(proj_sketch - proj_full).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(4, 32, 32), (8, 64, 8)])
+    def test_pipeline_runs_no_large_eigensolve(self, monkeypatch, dims):
+        psi = haar(*dims, 72)
+        rho_ab, rho_bc = partial_trace(psi, ("A", "B")), partial_trace(psi, ("B", "C"))
+        sizes = spy_eigh(monkeypatch)
+        report = reconstruct_tripartite(rho_ab, rho_bc, Dims(*dims))
+        assert len(sizes) == 5 and max(sizes) < 512
+        assert abs(np.vdot(psi.amplitudes, report.state.amplitudes)) ** 2 >= 1.0 - 1e-12
+
+    def test_rank_above_sketch_falls_back(self, monkeypatch):
+        rho = density_with_spectrum(np.linspace(1.0, 2.0, 40), 256, 73)
+        full = eig_hermitian(rho)
+        sizes = spy_eigh(monkeypatch)
+        sketched = eig_hermitian(rho, rank_bound=4)
+        assert 256 in sizes
+        assert sketched.rank == full.rank == 40
+        np.testing.assert_array_equal(sketched.eigenvalues, full.eigenvalues)
+        np.testing.assert_array_equal(sketched.eigenvectors, full.eigenvectors)
+
+    def test_small_tail_beyond_sketch_falls_back(self, monkeypatch):
+        # 30 tail eigenvalues of 1e-8 sit above the rank threshold but do not
+        # fit in 4 + 8 probe columns: the certificate must refuse the sketch.
+        rho = density_with_spectrum([0.4, 0.3, 0.2, 0.1 - 30e-8] + [1e-8] * 30, 256, 74)
+        full = eig_hermitian(rho)
+        sizes = spy_eigh(monkeypatch)
+        sketched = eig_hermitian(rho, rank_bound=4)
+        assert 256 in sizes
+        assert sketched.rank == full.rank == 34
+        np.testing.assert_array_equal(sketched.eigenvalues, full.eigenvalues)
+        np.testing.assert_array_equal(sketched.eigenvectors, full.eigenvectors)
+
+    def test_small_matrix_never_sketches(self, monkeypatch):
+        rho = partial_trace(haar(4, 4, 4, 75), ("B", "C"))
+        full = eig_hermitian(rho)
+        sizes = spy_eigh(monkeypatch)
+        bounded = eig_hermitian(rho, rank_bound=4)
+        assert sizes == [16]
+        np.testing.assert_array_equal(bounded.eigenvectors, full.eigenvectors)
+
+    def test_rank_mismatched_pair_is_spectrum_mismatch(self):
+        # Mix psi with (I x I x V)psi: rho_AB and rho_B are unchanged, but
+        # rho_BC gets rank 8 while rho_A keeps rank 4.
+        from oracles import haar_unitary
+        dims = (4, 32, 32)
+        psi = haar(*dims, 76).as_tensor()
+        v = haar_unitary(dims[2], np.random.default_rng(76))
+        twisted = np.einsum("abc,dc->abd", psi, v)
+        p = 0.7
+        m1 = psi.reshape(dims[0], -1)
+        m2 = twisted.reshape(dims[0], -1)
+        bc = p * (m1.T @ m1.conj()) + (1 - p) * (m2.T @ m2.conj())
+        t = psi.reshape(dims[0] * dims[1], dims[2])
+        rho_ab = DensityMatrix(("A", "B"), dims[:2], t @ t.conj().T)
+        rho_bc = DensityMatrix(("B", "C"), dims[1:], bc)
+        with pytest.raises(SpectrumMismatch, match="retained ranks differ: 4 vs 8"):
+            reconstruct_tripartite(rho_ab, rho_bc, Dims(*dims))

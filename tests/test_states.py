@@ -53,6 +53,11 @@ class TestDims:
     def test_total(self):
         assert Dims(2, 3, 4).total == 24
 
+    @pytest.mark.parametrize("bad", [(True, 2, 2), (2, 2, True)])
+    def test_rejects_bool(self, bad):
+        with pytest.raises(ContractError):
+            Dims(*bad)
+
 
 class TestPartialTrace:
     def test_product_state_keep_ab(self, product_state):
@@ -192,3 +197,41 @@ class TestTypeInvariants:
     def test_density_rejects_unordered_labels(self):
         with pytest.raises(ContractError):
             DensityMatrix(("B", "A"), (2, 2), np.eye(4) / 4.0)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_pure_state_rejects_non_finite(self, dims222, bad):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1.0
+        amps[3] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            PureState(dims222, amps)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_rejects_non_finite(self, n, bad):
+        m = np.eye(n, dtype=complex) / n
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            DensityMatrix(("A",), (n,), m)
+
+    @staticmethod
+    def rotated(diag, seed):
+        rng = np.random.default_rng(seed)
+        n = len(diag)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        m = (q * np.asarray(diag)) @ q.conj().T
+        return (m + m.conj().T) / 2.0
+
+    def test_psd_boundary_rejects_minus_1e_8(self):
+        m = self.rotated([0.5, 0.3, 0.2 + 1e-8, -1e-8], 81)
+        with pytest.raises(
+            ContractError, match=r"not positive semidefinite: lambda_min = -1\.000e-08"
+        ):
+            DensityMatrix(("A",), (4,), m)
+
+    def test_psd_boundary_accepts_minus_1e_11(self):
+        m = self.rotated([0.5, 0.3, 0.2 + 1e-11, -1e-11], 82)
+        rho = DensityMatrix(("A",), (4,), m)
+        np.testing.assert_array_equal(rho.matrix, m)
