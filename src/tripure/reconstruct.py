@@ -12,7 +12,7 @@ raise typed errors instead of producing a best-effort state.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,7 +31,7 @@ from .spectral import (
     eig_hermitian,
     match_spectra,
 )
-from .states import DensityMatrix, Dims, PureState, derived_marginal
+from .states import DensityMatrix, Dims, PureState, partial_trace
 
 # Largest tolerated deficit of sum_jk |overlap|^2 from 1 per eigenvector.
 EXPANSION_LEAK_TOL = 1e-6
@@ -170,10 +170,11 @@ def solve_phases(
     zero) assigns every phase; every redundant edge is then re-checked and
     the worst wrapped violation recorded as the cycle residual.
 
-    ``tree_strategy`` selects the traversal: "max_weight" grows the tree by
-    largest edge magnitude first, "bfs" walks neighbors in index order.  Any
-    two strategies must agree up to the overall gauge whenever the inputs
-    really are marginals of one pure state.
+    ``tree_strategy`` selects the order in which the tree grows over its
+    frontier edges: "max_weight" takes the largest magnitude first, "bfs"
+    takes edges in the order they were reached (breadth first, neighbors in
+    index order).  Any two strategies must agree up to the overall gauge
+    whenever the inputs really are marginals of one pure state.
     """
     w = np.asarray(edge_weights, dtype=complex)
     if w.ndim != 2 or w.size == 0:
@@ -194,48 +195,26 @@ def solve_phases(
     gamma[root] = 0.0
     tree = np.zeros_like(usable)
 
-    if tree_strategy == "max_weight":
-        heap: list[tuple[float, int, int]] = []
+    heap: list[tuple[float, int, int]] = []
+    order = itertools.count()
 
-        def push_gamma(k: int) -> None:
-            for i in np.nonzero(usable[:, k])[0]:
-                heapq.heappush(heap, (-mags[i, k], int(i), k))
+    def push(edges) -> None:
+        for i, k in edges:
+            key = -mags[i, k] if tree_strategy == "max_weight" else next(order)
+            heapq.heappush(heap, (key, int(i), int(k)))
 
-        def push_alpha(i: int) -> None:
-            for k in np.nonzero(usable[i, :])[0]:
-                heapq.heappush(heap, (-mags[i, k], i, int(k)))
-
-        push_gamma(root)
-        while heap:
-            _, i, k = heapq.heappop(heap)
-            a_known = not np.isnan(alpha[i])
-            c_known = not np.isnan(gamma[k])
-            if a_known and c_known:
-                continue
-            if c_known:
-                alpha[i] = gamma[k] + args[i, k]
-                tree[i, k] = True
-                push_alpha(i)
-            else:
-                gamma[k] = alpha[i] - args[i, k]
-                tree[i, k] = True
-                push_gamma(k)
-    else:
-        queue: deque[tuple[str, int]] = deque([("c", root)])
-        while queue:
-            side, idx = queue.popleft()
-            if side == "c":
-                for i in np.nonzero(usable[:, idx])[0]:
-                    if np.isnan(alpha[i]):
-                        alpha[i] = gamma[idx] + args[i, idx]
-                        tree[i, idx] = True
-                        queue.append(("a", int(i)))
-            else:
-                for k in np.nonzero(usable[idx, :])[0]:
-                    if np.isnan(gamma[k]):
-                        gamma[k] = alpha[idx] - args[idx, k]
-                        tree[idx, k] = True
-                        queue.append(("c", int(k)))
+    push((i, root) for i in np.nonzero(usable[:, root])[0])
+    while heap:
+        _, i, k = heapq.heappop(heap)
+        if np.isnan(alpha[i]):
+            alpha[i] = gamma[k] + args[i, k]
+            push((i, kk) for kk in np.nonzero(usable[i, :])[0])
+        elif np.isnan(gamma[k]):
+            gamma[k] = alpha[i] - args[i, k]
+            push((ii, k) for ii in np.nonzero(usable[:, k])[0])
+        else:
+            continue
+        tree[i, k] = True
 
     missing_a = np.nonzero(np.isnan(alpha))[0]
     missing_c = np.nonzero(np.isnan(gamma))[0]
@@ -341,12 +320,10 @@ def reconstruct_tripartite(
     _check_input(rho_ab, ("A", "B"), dims)
     _check_input(rho_bc, ("B", "C"), dims)
 
-    # Inputs were validated on construction; their partial traces need no
-    # second check.
-    rho_a = derived_marginal(rho_ab, ("A",))
-    rho_b_from_ab = derived_marginal(rho_ab, ("B",))
-    rho_b_from_bc = derived_marginal(rho_bc, ("B",))
-    rho_c = derived_marginal(rho_bc, ("C",))
+    rho_a = partial_trace(rho_ab, ("A",))
+    rho_b_from_ab = partial_trace(rho_ab, ("B",))
+    rho_b_from_bc = partial_trace(rho_bc, ("B",))
+    rho_c = partial_trace(rho_bc, ("C",))
 
     cross_gap = float(np.linalg.norm(rho_b_from_ab.matrix - rho_b_from_bc.matrix))
     if cross_gap > cfg.marginal_tol:
@@ -393,8 +370,8 @@ def reconstruct_tripartite(
         raise PhaseInconsistency(
             f"amplitude compatibility violated by {compat:.3e} after phase solving"
         )
-    out_ab = derived_marginal(state, ("A", "B")).matrix
-    out_bc = derived_marginal(state, ("B", "C")).matrix
+    out_ab = partial_trace(state, ("A", "B")).matrix
+    out_bc = partial_trace(state, ("B", "C")).matrix
     residual_ab = float(np.linalg.norm(out_ab - rho_ab.matrix))
     residual_bc = float(np.linalg.norm(out_bc - rho_bc.matrix))
     if max(residual_ab, residual_bc) > cfg.marginal_tol:

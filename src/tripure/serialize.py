@@ -81,17 +81,17 @@ def write_matrix_file(path, obj) -> None:
         fh.write(dumps(obj))
 
 
-def _as_complex_vector(data, length: int) -> np.ndarray:
+def _as_complex_vector(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape != (length, 2):
-        raise ContractError(f"data has shape {arr.shape}, expected ({length}, 2)")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ContractError(f"data has shape {arr.shape}, expected (n, 2)")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _as_complex_matrix(data, n: int) -> np.ndarray:
+def _as_complex_matrix(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape != (n, n, 2):
-        raise ContractError(f"data has shape {arr.shape}, expected ({n}, {n}, 2)")
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise ContractError(f"data has shape {arr.shape}, expected (n, n, 2)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -113,19 +113,17 @@ def loads(text: str) -> PureState | DensityMatrix | GridWavefunction:
         raise ContractError("top-level JSON value must be an object")
     kind = doc.get("kind")
     try:
+        # Sizes go to the constructors as parsed; they reject anything but
+        # positive integers, and check the data's shape against them.
         if kind == KIND_PURE:
-            dims = Dims(*[int(d) for d in doc["dims"]])
-            return PureState(dims, _as_complex_vector(doc["data"], dims.total))
+            dims = Dims(*doc["dims"])
+            return PureState(dims, _as_complex_vector(doc["data"]))
         if kind == KIND_DENSITY:
-            dims = tuple(int(d) for d in doc["dims"])
             subsystems = tuple(str(s) for s in doc["subsystems"])
-            n = int(np.prod(dims))
-            return DensityMatrix(subsystems, dims, _as_complex_matrix(doc["data"], n))
+            return DensityMatrix(subsystems, doc["dims"], _as_complex_matrix(doc["data"]))
         if kind == KIND_GRID:
-            shape = tuple(int(d) for d in doc["dims"])
             spacings = tuple(float(h) for h in doc["spacings"])
-            n = shape[0] * shape[1] * shape[2]
-            return GridWavefunction(shape, spacings, _as_complex_vector(doc["data"], n))
+            return GridWavefunction(doc["dims"], spacings, _as_complex_vector(doc["data"]))
     except KeyError as exc:
         raise ContractError(f"missing required key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -22,6 +22,17 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as a Python int; anything but a positive integer is rejected.
+
+    ``bool``, floats and strings are refused rather than coerced, so a
+    malformed size never turns silently into a valid one.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+        raise ContractError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Dims:
     """Subsystem dimensions (d_a, d_b, d_c), all strictly positive."""
@@ -31,9 +42,8 @@ class Dims:
     d_c: int
 
     def __post_init__(self):
-        for name, d in zip(("d_a", "d_b", "d_c"), self.as_tuple()):
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d <= 0:
-                raise ContractError(f"{name} must be a positive integer, got {d!r}")
+        for name in ("d_a", "d_b", "d_c"):
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.d_a, self.d_b, self.d_c)
@@ -77,11 +87,6 @@ class PureState:
         """Amplitudes reshaped to (d_a, d_b, d_c)."""
         return self.amplitudes.reshape(self.dims.as_tuple())
 
-    def density(self) -> "DensityMatrix":
-        """Full projector |psi><psi| as a DensityMatrix over (A, B, C)."""
-        m = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(SUBSYSTEM_LABELS, self.dims.as_tuple(), m)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -106,9 +111,10 @@ class DensityMatrix:
             raise ContractError(
                 f"subsystems must be an ordered subset of {SUBSYSTEM_LABELS}, got {subs!r}"
             )
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != len(subs) or any(d <= 0 for d in dims):
+        dims = tuple(self.dims)
+        if len(dims) != len(subs):
             raise ContractError(f"dims {dims!r} do not match subsystems {subs!r}")
+        dims = tuple(_positive_int(f"dims[{idx}]", d) for idx, d in enumerate(dims))
         n = int(np.prod(dims))
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (n, n):
@@ -169,38 +175,6 @@ def _canonical_keep(keep, available: tuple[str, ...]) -> tuple[str, ...]:
     return ordered
 
 
-def _reduce(state: PureState | DensityMatrix, keep) -> tuple[tuple, tuple, np.ndarray]:
-    """Kept labels, kept dims and the unvalidated reduced matrix."""
-    if isinstance(state, PureState):
-        available = SUBSYSTEM_LABELS
-        dims = state.dims.as_tuple()
-        kept = _canonical_keep(keep, available)
-        keep_ax = [available.index(s) for s in kept]
-        traced_ax = [ax for ax in range(3) if ax not in keep_ax]
-        t = state.as_tensor()
-        reduced = np.tensordot(t, t.conj(), axes=(traced_ax, traced_ax))
-        kept_dims = tuple(dims[ax] for ax in keep_ax)
-        n = int(np.prod(kept_dims))
-        return kept, kept_dims, reduced.reshape(n, n)
-
-    if isinstance(state, DensityMatrix):
-        available = state.subsystems
-        kept = _canonical_keep(keep, available)
-        dims = list(state.dims)
-        arr = state.matrix.reshape(*dims, *dims)
-        n_factors = len(dims)
-        for pos in sorted(
-            (available.index(s) for s in available if s not in kept), reverse=True
-        ):
-            arr = np.trace(arr, axis1=pos, axis2=pos + n_factors)
-            n_factors -= 1
-        kept_dims = tuple(state.dims[available.index(s)] for s in kept)
-        n = int(np.prod(kept_dims))
-        return kept, kept_dims, arr.reshape(n, n)
-
-    raise ContractError(f"cannot take a partial trace of {type(state).__name__}")
-
-
 def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix over the ``keep`` subsystems.
 
@@ -215,18 +189,37 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     Returns
     -------
     DensityMatrix over the kept subsystems, in canonical A < B < C order.
-    """
-    return DensityMatrix(*_reduce(state, keep))
-
-
-def derived_marginal(state: PureState | DensityMatrix, keep) -> DensityMatrix:
-    """``partial_trace`` without re-validating the result.
 
     The partial trace of a validated state is a density matrix, so the
-    result carries the same matrix ``partial_trace`` would return but skips
-    the Hermiticity, trace and positivity checks.
+    result is only symmetrized, not re-validated.  Inputs at the edge of
+    their tolerances pass that slack on unchecked: a PureState whose norm is
+    off by ``NORM_TOL`` reduces to a trace off by about ``2 * NORM_TOL``, and
+    a DensityMatrix within ``PSD_TOL`` of the positive-semidefinite boundary
+    can reduce to an eigenvalue slightly below ``-PSD_TOL``.
     """
-    return DensityMatrix._derived(*_reduce(state, keep))
+    if isinstance(state, PureState):
+        kept = _canonical_keep(keep, SUBSYSTEM_LABELS)
+        keep_ax = [SUBSYSTEM_LABELS.index(s) for s in kept]
+        traced_ax = [ax for ax in range(3) if ax not in keep_ax]
+        t = state.as_tensor()
+        reduced = np.tensordot(t, t.conj(), axes=(traced_ax, traced_ax))
+        kept_dims = tuple(state.dims.as_tuple()[ax] for ax in keep_ax)
+    elif isinstance(state, DensityMatrix):
+        available = state.subsystems
+        kept = _canonical_keep(keep, available)
+        dims = list(state.dims)
+        reduced = state.matrix.reshape(*dims, *dims)
+        n_factors = len(dims)
+        for pos in sorted(
+            (available.index(s) for s in available if s not in kept), reverse=True
+        ):
+            reduced = np.trace(reduced, axis1=pos, axis2=pos + n_factors)
+            n_factors -= 1
+        kept_dims = tuple(state.dims[available.index(s)] for s in kept)
+    else:
+        raise ContractError(f"cannot take a partial trace of {type(state).__name__}")
+    n = int(np.prod(kept_dims))
+    return DensityMatrix._derived(kept, kept_dims, reduced.reshape(n, n))
 
 
 def fidelity(psi1: PureState, psi2: PureState) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError
 from .reconstruct import ReconstructionConfig, reconstruct_tripartite
-from .states import DensityMatrix, Dims
+from .states import DensityMatrix, Dims, _positive_int
 
 GRID_NORM_TOL = 1e-9
 MAX_GRID_POINTS = 4096
@@ -36,16 +36,21 @@ class GridWavefunction:
     values: np.ndarray
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        spacings = tuple(float(h) for h in self.spacings)
-        if len(shape) != 3 or any(n <= 0 for n in shape):
+        shape = tuple(self.shape)
+        if len(shape) != 3:
             raise ContractError(f"grid shape must be three positive sizes, got {shape!r}")
-        if len(spacings) != 3 or any(h <= 0 for h in spacings):
-            raise ContractError(f"spacings must be three positive reals, got {spacings!r}")
+        shape = tuple(_positive_int(f"shape[{idx}]", n) for idx, n in enumerate(shape))
+        spacings = tuple(float(h) for h in self.spacings)
+        if len(spacings) != 3 or not all(0.0 < h < np.inf for h in spacings):
+            raise ContractError(
+                f"spacings must be three positive finite reals, got {spacings!r}"
+            )
         vals = np.asarray(self.values, dtype=complex)
         n = shape[0] * shape[1] * shape[2]
         if vals.shape != (n,):
             raise ContractError(f"values have shape {vals.shape}, expected ({n},)")
+        if not np.isfinite(vals).all():
+            raise ContractError("grid values have non-finite entries")
         norm_sq = float((np.abs(vals) ** 2).sum() * np.prod(spacings))
         if abs(norm_sq - 1.0) > GRID_NORM_TOL:
             raise ContractError(f"discrete L2 norm^2 is {norm_sq!r}, expected 1")
@@ -64,6 +69,8 @@ class GridWavefunction:
 def normalize_grid(shape, spacings, raw_values) -> GridWavefunction:
     """Build a GridWavefunction from unnormalized samples."""
     raw = np.asarray(raw_values, dtype=complex).reshape(-1)
+    if not np.isfinite(raw).all():
+        raise ContractError("grid samples have non-finite entries")
     norm = np.sqrt((np.abs(raw) ** 2).sum() * np.prod([float(h) for h in spacings]))
     if norm <= 0.0:
         raise ContractError("cannot normalize identically zero samples")
@@ -113,7 +120,6 @@ def reconstruct_grid(
     raises the same typed errors.  The returned wavefunction matches the
     original up to a global phase whenever the planar spectra are generic.
     """
-    shape = tuple(int(n) for n in shape)
     spacings = tuple(float(h) for h in spacings)
     dims = Dims(*shape)
     report = reconstruct_tripartite(rho_xy, rho_yz, dims, config)

@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tripure import Dims, PureState, partial_trace, sample_haar_state
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_on_subprocess_path():
+    """Let ``python -m tripure`` subprocesses import this checkout, installed or not."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(src), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

@@ -283,3 +283,23 @@ class TestEntrypoint:
             [sys.executable, "-m", "tripure", "frobnicate"], capture_output=True
         )
         assert proc.returncode == 2
+
+
+class TestMalformedDimsFile:
+    @pytest.mark.parametrize(
+        "bad, dims", [([True, 2], "1,2,2"), ([2.9, 2], "2,2,2"), (["2", "2"], "2,2,2")]
+    )
+    def test_reconstruct_exit_2_writes_nothing(self, tmp_path, bad, dims):
+        psi = sample_haar_state(Dims(*(int(d) for d in dims.split(","))), 4)
+        ab, bc = write_marginals(tmp_path, psi, "m")
+        doc = json.loads(ab.read_text())
+        doc["dims"] = bad
+        ab.write_text(json.dumps(doc))
+        out = tmp_path / "never.json"
+        report = tmp_path / "report.json"
+        code = main(
+            ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", dims,
+             "--out", str(out), "--report", str(report)]
+        )
+        assert code == 2
+        assert not out.exists() and not report.exists()

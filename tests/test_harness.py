@@ -3,10 +3,13 @@ import pytest
 
 from tripure import (
     ContractError,
+    DensityMatrix,
     Dims,
     TrialRecord,
     batch_stats,
     fidelity,
+    partial_trace,
+    reconstruct_tripartite,
     roundtrip,
     run_trials,
     sample_haar_state,
@@ -111,3 +114,40 @@ class TestBatchStats:
         stats = batch_stats(records)
         text = json.dumps(stats)
         assert json.loads(text)["n_records"] == 10
+
+
+class TestValidateOnce:
+    """Density matrices are validated where they are built from raw arrays only."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = DensityMatrix.__post_init__
+
+        def spy(rho):
+            calls.append(rho.subsystems)
+            validate(rho)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", spy)
+        return calls
+
+    def test_roundtrip_validates_nothing(self, validations):
+        psi = sample_haar_state(Dims(2, 3, 4), 21)
+        assert roundtrip(psi).outcome == "success"
+        assert validations == []
+
+    def test_reconstruct_validates_nothing(self, validations):
+        psi = sample_haar_state(Dims(3, 2, 3), 22)
+        m_ab = partial_trace(psi, "AB").matrix
+        m_bc = partial_trace(psi, "BC").matrix
+        validations.clear()
+        rho_ab = DensityMatrix(("A", "B"), (3, 2), m_ab)
+        rho_bc = DensityMatrix(("B", "C"), (2, 3), m_bc)
+        assert validations == [("A", "B"), ("B", "C")]
+        validations.clear()
+        reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        assert validations == []
+
+    def test_construction_from_raw_array_validates_once(self, validations):
+        DensityMatrix(("A",), (2,), np.eye(2) / 2)
+        assert len(validations) == 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tripure import ContractError, Dims, partial_trace, sample_haar_state
+from tripure import ContractError, Dims, normalize_grid, partial_trace, sample_haar_state
 from tripure.serialize import dumps, loads, read_matrix_file, write_matrix_file
 from tripure.tomography import build_profile
 
@@ -106,3 +106,39 @@ class TestNonFinite:
         text = json.dumps(doc).replace(f'"{token}"', token)
         with pytest.raises(ContractError, match="non-finite"):
             loads(text)
+
+
+# Each malformed size next to the dims that int() would have turned it into;
+# the data always fits those dims, so only the size check can refuse it.
+MALFORMED_DIMS = [
+    ([True, 2, 4], (1, 2, 4)),
+    ([2.9, 2, 2], (2, 2, 2)),
+    (["2", "2", "2"], (2, 2, 2)),
+]
+
+
+def document_with_dims(kind, good, bad):
+    psi = sample_haar_state(Dims(*good), 5)
+    if kind == "pure_state":
+        obj = psi
+    elif kind == "density_matrix":
+        obj, good, bad = partial_trace(psi, ("A", "B")), good[:2], bad[:2]
+    else:
+        obj = normalize_grid(good, (1.0, 1.0, 1.0), psi.amplitudes)
+    doc = json.loads(dumps(obj))
+    assert doc["kind"] == kind and doc["dims"] == list(good)
+    loads(json.dumps(doc))  # loads with the well-formed dims
+    doc["dims"] = bad
+    return json.dumps(doc)
+
+
+class TestMalformedDims:
+    @pytest.mark.parametrize("kind", ["pure_state", "density_matrix", "grid_wavefunction"])
+    @pytest.mark.parametrize("bad, good", MALFORMED_DIMS)
+    def test_loads_rejects_without_coercion(self, kind, bad, good):
+        with pytest.raises(ContractError, match="must be a positive integer"):
+            loads(document_with_dims(kind, good, bad))
+
+    def test_numpy_integer_dims_write_plain_json(self):
+        psi = sample_haar_state(Dims(np.int64(2), np.int64(1), np.int64(3)), 5)
+        assert loads(dumps(psi)).dims == Dims(2, 1, 3)

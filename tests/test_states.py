@@ -235,3 +235,18 @@ class TestBoundary:
         m = self.rotated([0.5, 0.3, 0.2 + 1e-11, -1e-11], 82)
         rho = DensityMatrix(("A",), (4,), m)
         np.testing.assert_array_equal(rho.matrix, m)
+
+
+class TestMalformedSizes:
+    @pytest.mark.parametrize("bad", [(True, 4), (2.9, 2), ("2", "2"), (0, 4)])
+    def test_density_rejects_non_integer_dims(self, bad):
+        with pytest.raises(ContractError, match="must be a positive integer"):
+            DensityMatrix(("A", "B"), bad, np.eye(4, dtype=complex) / 4)
+
+    def test_density_accepts_numpy_integer_dims(self):
+        rho = DensityMatrix(("A", "B"), (np.int64(2), np.int32(2)), np.eye(4) / 4)
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+
+    def test_dims_normalizes_numpy_integers(self):
+        dims = Dims(np.int64(2), np.int32(3), 4)
+        assert dims == Dims(2, 3, 4) and all(type(d) is int for d in dims.as_tuple())

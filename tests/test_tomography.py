@@ -125,3 +125,28 @@ class TestProfiles:
 
     def test_default_spacings_match_axis_span(self):
         assert default_spacings((8, 8, 8)) == pytest.approx((6.4 / 7,) * 3)
+
+
+class TestGridBoundary:
+    @pytest.mark.parametrize("bad", [(True, 2, 4), (2.9, 2, 2), ("2", "2", "2")])
+    def test_rejects_non_integer_shape(self, bad):
+        with pytest.raises(ContractError, match="must be a positive integer"):
+            GridWavefunction(bad, (1.0, 1.0, 1.0), np.full(8, 1 / np.sqrt(8), dtype=complex))
+
+    def test_rejects_nan_value(self):
+        values = np.full(8, 1 / np.sqrt(8), dtype=complex)
+        values[3] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            GridWavefunction((2, 2, 2), (1.0, 1.0, 1.0), values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_spacing(self, bad):
+        values = np.full(8, 1 / np.sqrt(8), dtype=complex)
+        with pytest.raises(ContractError, match="spacings"):
+            GridWavefunction((2, 2, 2), (1.0, bad, 1.0), values)
+
+    def test_normalize_grid_rejects_inf_sample(self):
+        raw = np.ones(8, dtype=complex)
+        raw[5] = np.inf
+        with pytest.raises(ContractError, match="non-finite"):
+            normalize_grid((2, 2, 2), (1.0, 1.0, 1.0), raw)
