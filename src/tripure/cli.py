@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .errors import AlgorithmError, ContractError
 from .harness import batch_stats, run_trials, sample_haar_state
@@ -29,14 +29,7 @@ from .tomography import (
 
 ROUNDTRIP_MIN_FIDELITY = 1.0 - 1e-8
 
-_TOLERANCE_FLAGS = (
-    "rank_threshold",
-    "gap_tol",
-    "pair_tol",
-    "edge_tol",
-    "phase_tol",
-    "marginal_tol",
-)
+_TOLERANCE_FLAGS = tuple(f.name for f in fields(ReconstructionConfig))
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:

@@ -179,6 +179,8 @@ def solve_phases(
     w = np.asarray(edge_weights, dtype=complex)
     if w.ndim != 2 or w.size == 0:
         raise ContractError(f"edge array must be a nonempty 2-d array, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ContractError("edge weights have non-finite entries")
     if tree_strategy not in TREE_STRATEGIES:
         raise ContractError(f"unknown tree_strategy {tree_strategy!r}")
     r_a, r_c = w.shape

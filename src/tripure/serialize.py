@@ -3,14 +3,14 @@
 One document per file with a ``kind`` discriminator.  Complex numbers are
 written as ``[re, im]`` pairs; vectors in flat order, matrices row-major as
 arrays of rows.  Every float is emitted with 17 significant digits so a
-write-read cycle reproduces doubles bit for bit, and the writer is fully
-deterministic: identical objects serialize to identical bytes.
+write-read cycle reproduces doubles bit for bit (except that a negative
+zero real part reads back as +0.0), and the writer is fully deterministic:
+identical objects serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from io import StringIO
 
 import numpy as np
 
@@ -23,57 +23,34 @@ KIND_DENSITY = "density_matrix"
 KIND_GRID = "grid_wavefunction"
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: exact round trip for IEEE doubles.
-    return format(float(x), ".16e")
+def _data_text(a: np.ndarray) -> str:
+    """Canonical text of a complex vector (one pair per line) or matrix (one row per line).
 
-
-def _pair(z: complex) -> str:
-    return f"[{_fmt(z.real)}, {_fmt(z.imag)}]"
-
-
-def _write_vector(out: StringIO, vec: np.ndarray, indent: str) -> None:
-    out.write("[\n")
-    for idx, z in enumerate(vec):
-        sep = "," if idx + 1 < len(vec) else ""
-        out.write(f"{indent}  {_pair(z)}{sep}\n")
-    out.write(f"{indent}]")
-
-
-def _write_matrix(out: StringIO, mat: np.ndarray, indent: str) -> None:
-    out.write("[\n")
-    for r, row in enumerate(mat):
-        row_txt = ", ".join(_pair(z) for z in row)
-        sep = "," if r + 1 < len(mat) else ""
-        out.write(f"{indent}  [{row_txt}]{sep}\n")
-    out.write(f"{indent}]")
+    ``"%.16e"`` gives 17 significant digits, an exact round trip for IEEE
+    doubles, and is filled in one pass over all the floats.
+    """
+    pair = "[%.16e, %.16e]"
+    line = "    " + (pair if a.ndim == 1 else "[" + ", ".join([pair] * a.shape[1]) + "]")
+    floats = np.stack([a.real, a.imag], -1).ravel().tolist()
+    return "[\n" + ",\n".join([line] * a.shape[0]) % tuple(floats) + "\n  ]"
 
 
 def dumps(obj: PureState | DensityMatrix | GridWavefunction) -> str:
     """Serialize a supported object to its canonical JSON text."""
-    out = StringIO()
-    out.write("{\n")
     if isinstance(obj, PureState):
-        out.write(f'  "kind": "{KIND_PURE}",\n')
-        out.write(f'  "dims": {list(obj.dims.as_tuple())},\n')
-        out.write('  "data": ')
-        _write_vector(out, obj.amplitudes, "  ")
+        kind, data = KIND_PURE, obj.amplitudes
+        header = [("dims", json.dumps(obj.dims.as_tuple()))]
     elif isinstance(obj, DensityMatrix):
-        out.write(f'  "kind": "{KIND_DENSITY}",\n')
-        out.write(f'  "dims": {list(obj.dims)},\n')
-        out.write(f'  "subsystems": {json.dumps(list(obj.subsystems))},\n')
-        out.write('  "data": ')
-        _write_matrix(out, obj.matrix, "  ")
+        kind, data = KIND_DENSITY, obj.matrix
+        header = [("dims", json.dumps(obj.dims)), ("subsystems", json.dumps(obj.subsystems))]
     elif isinstance(obj, GridWavefunction):
-        out.write(f'  "kind": "{KIND_GRID}",\n')
-        out.write(f'  "dims": {list(obj.shape)},\n')
-        out.write(f'  "spacings": [{", ".join(_fmt(h) for h in obj.spacings)}],\n')
-        out.write('  "data": ')
-        _write_vector(out, obj.values, "  ")
+        kind, data = KIND_GRID, obj.values
+        spacings = "[%.16e, %.16e, %.16e]" % obj.spacings
+        header = [("dims", json.dumps(obj.shape)), ("spacings", spacings)]
     else:
         raise ContractError(f"cannot serialize {type(obj).__name__}")
-    out.write("\n}\n")
-    return out.getvalue()
+    fields = [("kind", json.dumps(kind)), *header, ("data", _data_text(data))]
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"
 
 
 def write_matrix_file(path, obj) -> None:
@@ -81,17 +58,11 @@ def write_matrix_file(path, obj) -> None:
         fh.write(dumps(obj))
 
 
-def _as_complex_vector(data) -> np.ndarray:
+def _as_complex(data, ndim: int) -> np.ndarray:
+    """Complex vector (``ndim`` 1) or matrix (``ndim`` 2) from nested ``[re, im]`` pairs."""
     arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ContractError(f"data has shape {arr.shape}, expected (n, 2)")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def _as_complex_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ContractError(f"data has shape {arr.shape}, expected (n, n, 2)")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ContractError(f"data has shape {arr.shape}, expected ({'n, ' * ndim}2)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -113,17 +84,17 @@ def loads(text: str) -> PureState | DensityMatrix | GridWavefunction:
         raise ContractError("top-level JSON value must be an object")
     kind = doc.get("kind")
     try:
-        # Sizes go to the constructors as parsed; they reject anything but
-        # positive integers, and check the data's shape against them.
+        # Sizes and spacings go to the constructors as parsed; they reject
+        # anything but positive integers and positive finite reals, and
+        # check the data's shape against them.
         if kind == KIND_PURE:
             dims = Dims(*doc["dims"])
-            return PureState(dims, _as_complex_vector(doc["data"]))
+            return PureState(dims, _as_complex(doc["data"], 1))
         if kind == KIND_DENSITY:
             subsystems = tuple(str(s) for s in doc["subsystems"])
-            return DensityMatrix(subsystems, doc["dims"], _as_complex_matrix(doc["data"]))
+            return DensityMatrix(subsystems, doc["dims"], _as_complex(doc["data"], 2))
         if kind == KIND_GRID:
-            spacings = tuple(float(h) for h in doc["spacings"])
-            return GridWavefunction(doc["dims"], spacings, _as_complex_vector(doc["data"]))
+            return GridWavefunction(doc["dims"], doc["spacings"], _as_complex(doc["data"], 1))
     except KeyError as exc:
         raise ContractError(f"missing required key {exc}") from exc
     except (TypeError, ValueError) as exc:

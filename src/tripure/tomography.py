@@ -16,12 +16,35 @@ import numpy as np
 
 from .errors import ContractError
 from .reconstruct import ReconstructionConfig, reconstruct_tripartite
-from .states import DensityMatrix, Dims, _positive_int
+from .states import DensityMatrix, Dims, PureState, _positive_int, partial_trace
 
 GRID_NORM_TOL = 1e-9
 MAX_GRID_POINTS = 4096
 
 PROFILES = ("separable", "correlated", "symmetric")
+
+
+def _grid_shape(shape) -> tuple[int, int, int]:
+    shape = tuple(shape)
+    if len(shape) != 3:
+        raise ContractError(f"grid shape must be three positive sizes, got {shape!r}")
+    return tuple(_positive_int(f"shape[{idx}]", n) for idx, n in enumerate(shape))
+
+
+def _grid_spacings(spacings) -> tuple[float, float, float]:
+    """Three spacings as Python floats; each must be a positive finite real.
+
+    ``bool``, strings, non-finite and non-positive values are refused rather
+    than coerced, like the sizes ``_positive_int`` checks.
+    """
+    spacings = tuple(spacings)
+    if len(spacings) != 3:
+        raise ContractError(f"spacings must be three positive finite reals, got {spacings!r}")
+    for idx, h in enumerate(spacings):
+        real = isinstance(h, (int, float, np.integer, np.floating)) and not isinstance(h, bool)
+        if not (real and 0.0 < h < np.inf):
+            raise ContractError(f"spacings[{idx}] must be a positive finite real, got {h!r}")
+    return tuple(float(h) for h in spacings)
 
 
 @dataclass(frozen=True)
@@ -36,15 +59,8 @@ class GridWavefunction:
     values: np.ndarray
 
     def __post_init__(self):
-        shape = tuple(self.shape)
-        if len(shape) != 3:
-            raise ContractError(f"grid shape must be three positive sizes, got {shape!r}")
-        shape = tuple(_positive_int(f"shape[{idx}]", n) for idx, n in enumerate(shape))
-        spacings = tuple(float(h) for h in self.spacings)
-        if len(spacings) != 3 or not all(0.0 < h < np.inf for h in spacings):
-            raise ContractError(
-                f"spacings must be three positive finite reals, got {spacings!r}"
-            )
+        shape = _grid_shape(self.shape)
+        spacings = _grid_spacings(self.spacings)
         vals = np.asarray(self.values, dtype=complex)
         n = shape[0] * shape[1] * shape[2]
         if vals.shape != (n,):
@@ -68,13 +84,14 @@ class GridWavefunction:
 
 def normalize_grid(shape, spacings, raw_values) -> GridWavefunction:
     """Build a GridWavefunction from unnormalized samples."""
+    spacings = _grid_spacings(spacings)
     raw = np.asarray(raw_values, dtype=complex).reshape(-1)
     if not np.isfinite(raw).all():
         raise ContractError("grid samples have non-finite entries")
-    norm = np.sqrt((np.abs(raw) ** 2).sum() * np.prod([float(h) for h in spacings]))
+    norm = np.sqrt((np.abs(raw) ** 2).sum() * np.prod(spacings))
     if norm <= 0.0:
         raise ContractError("cannot normalize identically zero samples")
-    return GridWavefunction(tuple(shape), tuple(spacings), raw / norm)
+    return GridWavefunction(tuple(shape), spacings, raw / norm)
 
 
 def grid_fidelity(g1: GridWavefunction, g2: GridWavefunction) -> float:
@@ -88,23 +105,15 @@ def planar_density(psi: GridWavefunction, plane: str) -> DensityMatrix:
     """Riemann-sum planar projection of |psi><psi|, rescaled to trace one.
 
     ``plane`` is "XY" (integrate out z, subsystems A and B) or "YZ"
-    (integrate out x, subsystems B and C).
+    (integrate out x, subsystems B and C).  Rescaled to trace one, the sum
+    is the partial trace of the unit vector ``values / ||values||`` (the
+    spacings cancel), and that is how it is computed.
     """
-    n_x, n_y, n_z = psi.shape
-    h_x, h_y, h_z = psi.spacings
-    t = psi.as_tensor()
-    if plane == "XY":
-        m = np.einsum("xyz,uvz->xyuv", t, t.conj()) * h_z
-        m = m.reshape(n_x * n_y, n_x * n_y)
-        subsystems, dims = ("A", "B"), (n_x, n_y)
-    elif plane == "YZ":
-        m = np.einsum("xyz,xuv->yzuv", t, t.conj()) * h_x
-        m = m.reshape(n_y * n_z, n_y * n_z)
-        subsystems, dims = ("B", "C"), (n_y, n_z)
-    else:
+    keep = {"XY": "AB", "YZ": "BC"}.get(plane)
+    if keep is None:
         raise ContractError(f"plane must be 'XY' or 'YZ', got {plane!r}")
-    m = m / np.trace(m).real
-    return DensityMatrix(subsystems, dims, m)
+    values = psi.values / np.linalg.norm(psi.values)
+    return partial_trace(PureState(Dims(*psi.shape), values), keep)
 
 
 def reconstruct_grid(
@@ -120,7 +129,7 @@ def reconstruct_grid(
     raises the same typed errors.  The returned wavefunction matches the
     original up to a global phase whenever the planar spectra are generic.
     """
-    spacings = tuple(float(h) for h in spacings)
+    spacings = _grid_spacings(spacings)
     dims = Dims(*shape)
     report = reconstruct_tripartite(rho_xy, rho_yz, dims, config)
     values = report.state.amplitudes / np.sqrt(float(np.prod(spacings)))
@@ -129,7 +138,7 @@ def reconstruct_grid(
 
 def default_spacings(shape) -> tuple[float, float, float]:
     """Spacings placing each axis on [-3.2, 3.2] regardless of point count."""
-    shape = tuple(int(n) for n in shape)
+    shape = _grid_shape(shape)
     if any(n < 2 for n in shape):
         raise ContractError(f"profiles need at least 2 points per axis, got {shape!r}")
     return tuple(6.4 / (n - 1) for n in shape)
@@ -154,12 +163,12 @@ def build_profile(name: str, shape, spacings=None) -> GridWavefunction:
                 marginal has an exactly degenerate eigenvalue pair, so
                 reconstruction must refuse.
     """
-    shape = tuple(int(n) for n in shape)
+    shape = _grid_shape(shape)
     if shape[0] * shape[1] * shape[2] > MAX_GRID_POINTS:
         raise ContractError(
             f"grid has {shape[0] * shape[1] * shape[2]} points, cap is {MAX_GRID_POINTS}"
         )
-    spacings = default_spacings(shape) if spacings is None else tuple(float(h) for h in spacings)
+    spacings = default_spacings(shape) if spacings is None else _grid_spacings(spacings)
     xs, ys, zs = _axes(shape, spacings)
     x = xs[:, None, None]
     y = ys[None, :, None]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripure import PhaseGraphDisconnected, solve_phases
+from tripure import ContractError, PhaseGraphDisconnected, solve_phases
 
 STRATEGIES = ("max_weight", "bfs")
 
@@ -93,3 +93,13 @@ def test_tie_case_trees_differ():
         assert sol.a_phases.tolist() == a_phases
         assert sol.c_phases.tolist() == c_phases
         assert sol.cycle_residual == 1.0000000028043132e-07
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_is_a_contract_error(strategy, bad):
+    # a NaN or inf weight is bad input, not a missing edge
+    w = np.ones((2, 2), dtype=complex)
+    w[0, 1] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        solve_phases(w, tree_strategy=strategy)

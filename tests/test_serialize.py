@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from tripure import ContractError, Dims, normalize_grid, partial_trace, sample_haar_state
+from tripure import (
+    ContractError,
+    DensityMatrix,
+    Dims,
+    PureState,
+    normalize_grid,
+    partial_trace,
+    sample_haar_state,
+)
 from tripure.serialize import dumps, loads, read_matrix_file, write_matrix_file
 from tripure.tomography import build_profile
 
@@ -132,6 +140,17 @@ def document_with_dims(kind, good, bad):
     return json.dumps(doc)
 
 
+class TestMalformedSpacings:
+    @pytest.mark.parametrize("bad", [[True, "1.0", 1], [1, True, 1], [1.0, "1.0", 1.0]])
+    def test_loads_rejects_without_coercion(self, bad):
+        psi = sample_haar_state(Dims(2, 2, 2), 5)
+        doc = json.loads(dumps(normalize_grid((2, 2, 2), (1.0, 1.0, 1.0), psi.amplitudes)))
+        loads(json.dumps(doc))  # loads with the well-formed spacings
+        doc["spacings"] = bad
+        with pytest.raises(ContractError, match="must be a positive finite real"):
+            loads(json.dumps(doc))
+
+
 class TestMalformedDims:
     @pytest.mark.parametrize("kind", ["pure_state", "density_matrix", "grid_wavefunction"])
     @pytest.mark.parametrize("bad, good", MALFORMED_DIMS)
@@ -142,3 +161,72 @@ class TestMalformedDims:
     def test_numpy_integer_dims_write_plain_json(self):
         psi = sample_haar_state(Dims(np.int64(2), np.int64(1), np.int64(3)), 5)
         assert loads(dumps(psi)).dims == Dims(2, 1, 3)
+
+
+# The canonical layout, pinned byte for byte: a negative zero and a
+# subnormal in a pure state, a 2x2 density matrix and a small grid.
+GOLDEN_PURE = """{
+  "kind": "pure_state",
+  "dims": [1, 1, 2],
+  "data": [
+    [-0.0000000000000000e+00, 5.9999999999999998e-01],
+    [8.0000000000000004e-01, 4.9406564584124654e-324]
+  ]
+}
+"""
+
+GOLDEN_DENSITY = """{
+  "kind": "density_matrix",
+  "dims": [2],
+  "subsystems": ["A"],
+  "data": [
+    [[7.5000000000000000e-01, 0.0000000000000000e+00], [2.5000000000000000e-01, -1.2500000000000000e-01]],
+    [[2.5000000000000000e-01, 1.2500000000000000e-01], [2.5000000000000000e-01, 0.0000000000000000e+00]]
+  ]
+}
+"""
+
+GOLDEN_GRID = """{
+  "kind": "grid_wavefunction",
+  "dims": [1, 2, 2],
+  "spacings": [5.0000000000000000e-01, 2.5000000000000000e-01, 2.0000000000000000e+00],
+  "data": [
+    [1.2377054955105520e+00, 0.0000000000000000e+00],
+    [0.0000000000000000e+00, 1.2377054955105520e+00],
+    [-4.1256849850351729e-01, 0.0000000000000000e+00],
+    [6.1885274775527599e-01, -6.1885274775527599e-01]
+  ]
+}
+"""
+
+
+def golden_objects():
+    psi = PureState(Dims(1, 1, 2), np.array([complex(-0.0, 0.6), complex(0.8, 5e-324)]))
+    rho = DensityMatrix(("A",), (2,), np.array([[0.75, 0.25 - 0.125j], [0.25 + 0.125j, 0.25]]))
+    grid = normalize_grid(
+        (1, 2, 2), (0.5, 0.25, 2.0), np.array([1.0, 1j, -1.0 / 3, 0.5 - 0.5j])
+    )
+    return [(psi, GOLDEN_PURE), (rho, GOLDEN_DENSITY), (grid, GOLDEN_GRID)]
+
+
+GOLDEN_IDS = ["pure_state", "density_matrix", "grid"]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("obj, text", golden_objects(), ids=GOLDEN_IDS)
+    def test_dumps_text(self, obj, text):
+        assert dumps(obj) == text
+
+    @pytest.mark.parametrize("obj, text", golden_objects(), ids=GOLDEN_IDS)
+    def test_reread_writes_same_values(self, obj, text):
+        back = loads(text)
+        assert type(back) is type(obj)
+        # the reader builds re + 1j * im, which turns a negative zero real
+        # part into +0.0; every other value is written again unchanged
+        positive = text.replace("-0.0000000000000000e+00", "0.0000000000000000e+00")
+        assert dumps(back) == positive
+
+    def test_negative_zero_reads_back_positive(self):
+        back = loads(GOLDEN_PURE)
+        assert np.copysign(1.0, back.amplitudes[0].real) == 1.0
+        assert back.amplitudes[1].imag == 5e-324

@@ -150,3 +150,45 @@ class TestGridBoundary:
         raw[5] = np.inf
         with pytest.raises(ContractError, match="non-finite"):
             normalize_grid((2, 2, 2), (1.0, 1.0, 1.0), raw)
+
+
+# Spacings that float() would have coerced or let through to a misleading
+# error; every entry point names the bad entry instead.
+BAD_SPACINGS = [(1.0, True, 1.0), (1.0, "1.0", 1.0), (1.0, 0.0, 1.0), (1.0, -0.5, 1.0)]
+
+
+class TestSpacingChecks:
+    @pytest.mark.parametrize("bad", BAD_SPACINGS)
+    def test_grid_wavefunction(self, bad):
+        values = np.full(8, 1 / np.sqrt(8), dtype=complex)
+        with pytest.raises(ContractError, match=r"spacings\[1\] must be a positive finite real"):
+            GridWavefunction((2, 2, 2), bad, values)
+
+    @pytest.mark.parametrize("bad", BAD_SPACINGS)
+    def test_normalize_grid(self, bad):
+        with pytest.raises(ContractError, match=r"spacings\[1\] must be a positive finite real"):
+            normalize_grid((2, 2, 2), bad, np.ones(8))
+
+    @pytest.mark.parametrize("bad", BAD_SPACINGS)
+    def test_build_profile(self, bad):
+        with pytest.raises(ContractError, match=r"spacings\[1\] must be a positive finite real"):
+            build_profile("separable", (4, 4, 4), bad)
+
+    @pytest.mark.parametrize("bad", [(1.0, True, 1.0), (1.0, "1.0", 1.0)])
+    def test_reconstruct_grid(self, bad):
+        psi = product_grid()
+        rho_xy, rho_yz = planar_density(psi, "XY"), planar_density(psi, "YZ")
+        with pytest.raises(ContractError, match=r"spacings\[1\] must be a positive finite real"):
+            reconstruct_grid(rho_xy, rho_yz, SHAPE, bad)
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("bad", [(2.9, 2, 2), (True, 2, 2), ("2", "2", "2")])
+    def test_build_profile(self, bad):
+        with pytest.raises(ContractError, match="must be a positive integer"):
+            build_profile("separable", bad)
+
+    @pytest.mark.parametrize("bad", [(2.9, 2, 2), (True, 2, 2), ("2", "2", "2")])
+    def test_default_spacings(self, bad):
+        with pytest.raises(ContractError, match="must be a positive integer"):
+            default_spacings(bad)
