@@ -13,6 +13,9 @@ class ContractError(ValueError):
 class AlgorithmError(Exception):
     """Base class for typed failures of the reconstruction algorithm."""
 
+    # Smallest retained rho_A/rho_C eigenvalue spacing; None until both exist.
+    min_spectral_gap: float | None = None
+
 
 class NumericalError(AlgorithmError):
     """A dense linear-algebra primitive failed to converge or lost precision."""

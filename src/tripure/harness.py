@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import AlgorithmError, ContractError
 from .reconstruct import ReconstructionConfig, reconstruct_tripartite
-from .spectral import eig_hermitian
 from .states import Dims, PureState, fidelity, partial_trace
 
 
@@ -24,7 +23,7 @@ class TrialRecord:
     marginal_residual_bc: float | None
     compatibility_residual: float | None
     cycle_residual: float | None
-    min_spectral_gap: float
+    min_spectral_gap: float | None
 
 
 def sample_haar_state(dims: Dims, seed: int) -> PureState:
@@ -33,20 +32,6 @@ def sample_haar_state(dims: Dims, seed: int) -> PureState:
     raw = rng.standard_normal((dims.total, 2))
     amps = raw[:, 0] + 1j * raw[:, 1]
     return PureState(dims, amps / np.linalg.norm(amps))
-
-
-def _min_spectral_gap(psi: PureState, rank_threshold: float) -> float:
-    """Smallest spacing among retained rho_A and rho_C eigenvalues.
-
-    The distance from the smallest retained eigenvalue down to zero counts
-    as a gap too, so rank-1 spectra report a finite value.
-    """
-    gaps = []
-    for labels in (("A",), ("C",)):
-        spec = eig_hermitian(partial_trace(psi, labels), rank_threshold)
-        gaps.extend(-np.diff(spec.eigenvalues))
-        gaps.append(spec.eigenvalues[-1])
-    return float(min(gaps))
 
 
 def roundtrip(
@@ -59,12 +44,10 @@ def roundtrip(
     Algorithm errors are captured in the record's ``outcome`` rather than
     raised, so batch runs always complete.
     """
-    cfg = config if config is not None else ReconstructionConfig()
     rho_ab = partial_trace(psi, ("A", "B"))
     rho_bc = partial_trace(psi, ("B", "C"))
-    min_gap = _min_spectral_gap(psi, cfg.rank_threshold)
     try:
-        report = reconstruct_tripartite(rho_ab, rho_bc, psi.dims, cfg)
+        report = reconstruct_tripartite(rho_ab, rho_bc, psi.dims, config)
     except AlgorithmError as exc:
         return TrialRecord(
             seed=seed,
@@ -75,7 +58,7 @@ def roundtrip(
             marginal_residual_bc=None,
             compatibility_residual=None,
             cycle_residual=None,
-            min_spectral_gap=min_gap,
+            min_spectral_gap=exc.min_spectral_gap,
         )
     return TrialRecord(
         seed=seed,
@@ -86,7 +69,7 @@ def roundtrip(
         marginal_residual_bc=report.marginal_residual_bc,
         compatibility_residual=report.compatibility_residual,
         cycle_residual=report.cycle_residual,
-        min_spectral_gap=min_gap,
+        min_spectral_gap=report.min_spectral_gap,
     )
 
 
@@ -105,7 +88,8 @@ def run_trials(
     ]
 
 
-def _quantiles(values: list[float]) -> dict[str, float] | None:
+def _quantiles(values: list[float | None]) -> dict[str, float] | None:
+    values = [v for v in values if v is not None]
     if not values:
         return None
     arr = np.asarray(values, dtype=float)

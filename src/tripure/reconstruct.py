@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (
+    AlgorithmError,
     ContractError,
     ExpansionLeakage,
     MarginalInconsistency,
@@ -31,7 +32,7 @@ from .spectral import (
     eig_hermitian,
     match_spectra,
 )
-from .states import DensityMatrix, Dims, PureState, partial_trace
+from .states import DensityMatrix, Dims, PureState, _positive_real, partial_trace
 
 # Largest tolerated deficit of sum_jk |overlap|^2 from 1 per eigenvector.
 EXPANSION_LEAK_TOL = 1e-6
@@ -57,8 +58,7 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ContractError(f"{f.name} must be strictly positive")
+            object.__setattr__(self, f.name, _positive_real(f.name, getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,7 @@ class ReconstructionReport:
     compatibility_residual: float
     cycle_residual: float
     genericity_flags: list[str]
+    min_spectral_gap: float
 
 
 def coefficient_tensors(
@@ -296,6 +297,11 @@ def compatibility_residual(
 
 
 def _check_input(rho: DensityMatrix, subsystems: tuple[str, str], dims: Dims) -> None:
+    if not isinstance(rho, DensityMatrix) or not isinstance(dims, Dims):
+        raise ContractError(
+            f"expected a DensityMatrix and Dims, got {type(rho).__name__} and "
+            f"{type(dims).__name__}"
+        )
     expected_dims = tuple(dims.of(s) for s in subsystems)
     if rho.subsystems != subsystems or rho.dims != expected_dims:
         raise ContractError(
@@ -316,7 +322,8 @@ def reconstruct_tripartite(
     ``marginal_tol`` (Frobenius).  Raises MarginalInconsistency,
     GenericityViolation, SpectrumMismatch, ExpansionLeakage,
     PhaseGraphDisconnected or PhaseInconsistency when the inputs are not
-    compatible with a single generic pure state.
+    compatible with a single generic pure state; each error raised after
+    rho_A and rho_C are diagonalized carries their ``min_spectral_gap``.
     """
     cfg = config if config is not None else ReconstructionConfig()
     _check_input(rho_ab, ("A", "B"), dims)
@@ -337,13 +344,43 @@ def reconstruct_tripartite(
         ("B",), (dims.d_b,), (rho_b_from_ab.matrix + rho_b_from_bc.matrix) / 2.0
     )
 
-    # A pure state's complementary marginals share their rank, so the
-    # single-party ranks bound the bipartite ones.
     spec_a = eig_hermitian(rho_a, cfg.rank_threshold)
-    spec_b = eig_hermitian(rho_b, cfg.rank_threshold)
     spec_c = eig_hermitian(rho_c, cfg.rank_threshold)
-    spec_ab = eig_hermitian(rho_ab, cfg.rank_threshold, rank_bound=spec_c.rank)
-    spec_bc = eig_hermitian(rho_bc, cfg.rank_threshold, rank_bound=spec_a.rank)
+    # Smallest retained rho_A/rho_C spacing, counting the last eigenvalue's distance to 0.
+    gaps = [np.min(-np.diff(s.eigenvalues), initial=s.eigenvalues[-1]) for s in (spec_a, spec_c)]
+    min_gap = float(min(gaps))
+    try:
+        spec_b = eig_hermitian(rho_b, cfg.rank_threshold)
+        # A pure state's complementary marginals share their rank, so the
+        # single-party ranks bound the bipartite ones.
+        spec_ab = eig_hermitian(rho_ab, cfg.rank_threshold, rank_bound=spec_c.rank)
+        spec_bc = eig_hermitian(rho_bc, cfg.rank_threshold, rank_bound=spec_a.rank)
+
+        pairing_a = match_spectra(spec_a, spec_bc, cfg.pair_tol)
+        match_spectra(spec_c, spec_ab, cfg.pair_tol)
+
+        coeffs = coefficient_tensors(spec_bc, spec_ab, spec_a, spec_b, spec_c, dims)
+        edges = phase_edges(coeffs)
+        solution = solve_phases(edges, cfg.edge_tol, cfg.phase_tol)
+        state = assemble_state(pairing_a, spec_a, spec_bc, solution.a_phases, dims)
+
+        compat = compatibility_residual(coeffs, solution, spec_a, spec_c)
+        if compat > cfg.phase_tol:
+            raise PhaseInconsistency(
+                f"amplitude compatibility violated by {compat:.3e} after phase solving"
+            )
+        out_ab = partial_trace(state, ("A", "B")).matrix
+        out_bc = partial_trace(state, ("B", "C")).matrix
+        residual_ab = float(np.linalg.norm(out_ab - rho_ab.matrix))
+        residual_bc = float(np.linalg.norm(out_bc - rho_bc.matrix))
+        if max(residual_ab, residual_bc) > cfg.marginal_tol:
+            raise MarginalInconsistency(
+                f"reconstructed state fails to reproduce the inputs: residuals "
+                f"{residual_ab:.3e} / {residual_bc:.3e} (> {cfg.marginal_tol:.1e})"
+            )
+    except AlgorithmError as exc:
+        exc.min_spectral_gap = min_gap
+        raise
 
     flags = []
     for name, spec in (
@@ -358,29 +395,6 @@ def reconstruct_tripartite(
             flags.append(f"{name}: degenerate clusters {clusters} at gap_tol {cfg.gap_tol:.1e}")
     # rho_B degeneracy is only informational: any orthonormal basis of its
     # support works as long as both tensors share it.
-
-    pairing_a = match_spectra(spec_a, spec_bc, cfg.pair_tol)
-    match_spectra(spec_c, spec_ab, cfg.pair_tol)
-
-    coeffs = coefficient_tensors(spec_bc, spec_ab, spec_a, spec_b, spec_c, dims)
-    edges = phase_edges(coeffs)
-    solution = solve_phases(edges, cfg.edge_tol, cfg.phase_tol)
-    state = assemble_state(pairing_a, spec_a, spec_bc, solution.a_phases, dims)
-
-    compat = compatibility_residual(coeffs, solution, spec_a, spec_c)
-    if compat > cfg.phase_tol:
-        raise PhaseInconsistency(
-            f"amplitude compatibility violated by {compat:.3e} after phase solving"
-        )
-    out_ab = partial_trace(state, ("A", "B")).matrix
-    out_bc = partial_trace(state, ("B", "C")).matrix
-    residual_ab = float(np.linalg.norm(out_ab - rho_ab.matrix))
-    residual_bc = float(np.linalg.norm(out_bc - rho_bc.matrix))
-    if max(residual_ab, residual_bc) > cfg.marginal_tol:
-        raise MarginalInconsistency(
-            f"reconstructed state fails to reproduce the inputs: residuals "
-            f"{residual_ab:.3e} / {residual_bc:.3e} (> {cfg.marginal_tol:.1e})"
-        )
     return ReconstructionReport(
         state=state,
         marginal_residual_ab=residual_ab,
@@ -388,4 +402,5 @@ def reconstruct_tripartite(
         compatibility_residual=compat,
         cycle_residual=solution.cycle_residual,
         genericity_flags=flags,
+        min_spectral_gap=min_gap,
     )

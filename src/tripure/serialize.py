@@ -108,6 +108,6 @@ def read_matrix_file(path) -> PureState | DensityMatrix | GridWavefunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(f"cannot read {path}: {exc}") from exc
     return loads(text)

@@ -33,6 +33,31 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
+def _positive_real(name: str, value) -> float:
+    """``value`` as a Python float; anything but a positive finite real is rejected.
+
+    ``bool``, strings, ``None``, NaN, infinities and integers too large for a
+    float are refused rather than coerced, like the sizes ``_positive_int``
+    checks.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        h = float(value) if real else np.nan
+    except OverflowError:
+        h = np.inf
+    if not 0.0 < h < np.inf:
+        raise ContractError(f"{name} must be a positive finite real, got {value!r}")
+    return h
+
+
+def _sequence(name: str, value) -> tuple:
+    """``value`` as a tuple; a scalar or other non-iterable is rejected."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ContractError(f"{name} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Dims:
     """Subsystem dimensions (d_a, d_b, d_c), all strictly positive."""
@@ -71,6 +96,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.dims, Dims):
+            raise ContractError(f"dims must be a Dims, got {self.dims!r}")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.dims.total,):
             raise ContractError(
@@ -105,13 +132,13 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        subs = tuple(self.subsystems)
+        subs = _sequence("subsystems", self.subsystems)
         order = [s for s in SUBSYSTEM_LABELS if s in subs]
         if not subs or len(set(subs)) != len(subs) or tuple(order) != subs:
             raise ContractError(
                 f"subsystems must be an ordered subset of {SUBSYSTEM_LABELS}, got {subs!r}"
             )
-        dims = tuple(self.dims)
+        dims = _sequence("dims", self.dims)
         if len(dims) != len(subs):
             raise ContractError(f"dims {dims!r} do not match subsystems {subs!r}")
         dims = tuple(_positive_int(f"dims[{idx}]", d) for idx, d in enumerate(dims))
@@ -159,7 +186,7 @@ class DensityMatrix:
 
 
 def _canonical_keep(keep, available: tuple[str, ...]) -> tuple[str, ...]:
-    labels = tuple(keep) if not isinstance(keep, str) else tuple(keep)
+    labels = tuple(keep)
     for lab in labels:
         if lab not in SUBSYSTEM_LABELS:
             raise ContractError(f"unknown subsystem label {lab!r}")

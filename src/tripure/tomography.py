@@ -16,7 +16,15 @@ import numpy as np
 
 from .errors import ContractError
 from .reconstruct import ReconstructionConfig, reconstruct_tripartite
-from .states import DensityMatrix, Dims, PureState, _positive_int, partial_trace
+from .states import (
+    DensityMatrix,
+    Dims,
+    PureState,
+    _positive_int,
+    _positive_real,
+    _sequence,
+    partial_trace,
+)
 
 GRID_NORM_TOL = 1e-9
 MAX_GRID_POINTS = 4096
@@ -25,26 +33,18 @@ PROFILES = ("separable", "correlated", "symmetric")
 
 
 def _grid_shape(shape) -> tuple[int, int, int]:
-    shape = tuple(shape)
+    shape = _sequence("grid shape", shape)
     if len(shape) != 3:
         raise ContractError(f"grid shape must be three positive sizes, got {shape!r}")
     return tuple(_positive_int(f"shape[{idx}]", n) for idx, n in enumerate(shape))
 
 
 def _grid_spacings(spacings) -> tuple[float, float, float]:
-    """Three spacings as Python floats; each must be a positive finite real.
-
-    ``bool``, strings, non-finite and non-positive values are refused rather
-    than coerced, like the sizes ``_positive_int`` checks.
-    """
-    spacings = tuple(spacings)
+    """Three spacings as Python floats; each must be a positive finite real."""
+    spacings = _sequence("spacings", spacings)
     if len(spacings) != 3:
         raise ContractError(f"spacings must be three positive finite reals, got {spacings!r}")
-    for idx, h in enumerate(spacings):
-        real = isinstance(h, (int, float, np.integer, np.floating)) and not isinstance(h, bool)
-        if not (real and 0.0 < h < np.inf):
-            raise ContractError(f"spacings[{idx}] must be a positive finite real, got {h!r}")
-    return tuple(float(h) for h in spacings)
+    return tuple(_positive_real(f"spacings[{idx}]", h) for idx, h in enumerate(spacings))
 
 
 @dataclass(frozen=True)

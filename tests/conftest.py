@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tripure import Dims, PureState, partial_trace, sample_haar_state
+
+# Property tests draw the same examples on every run, so they cannot make
+# the suite flaky, and a slow example is not a failure.
+settings.register_profile("tripure", derandomize=True, deadline=None)
+settings.load_profile("tripure")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -152,3 +152,20 @@ def haar_unitary(dim, rng):
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def min_spectral_gap_reference(amplitudes, dims, rank_threshold):
+    """Smallest spacing among retained rho_A and rho_C eigenvalues.
+
+    The distance from the smallest retained eigenvalue down to zero counts
+    as a gap too, so rank-1 spectra report a finite value.  Eigenvalues at
+    or below ``rank_threshold`` are not retained.
+    """
+    gaps = []
+    for label in ("A", "C"):
+        rho = partial_trace_pure_loops(amplitudes, dims, label)
+        vals = np.linalg.eigh(rho)[0][::-1]
+        vals = vals[vals > rank_threshold]
+        gaps.extend(-np.diff(vals))
+        gaps.append(vals[-1])
+    return float(min(gaps))

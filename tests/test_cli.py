@@ -1,11 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tripure import Dims, fidelity, partial_trace, sample_haar_state
+from tripure import Dims, ReconstructionConfig, fidelity, partial_trace, sample_haar_state
 from tripure.cli import main
 from tripure.serialize import read_matrix_file, write_matrix_file
 
@@ -303,3 +307,120 @@ class TestMalformedDimsFile:
         )
         assert code == 2
         assert not out.exists() and not report.exists()
+
+
+def parse_strict(path):
+    """The JSON in ``path``; NaN and infinities are refused, not read."""
+
+    def refuse(token):
+        raise AssertionError(f"{path.name} holds the non-JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestBoundaryRefusals:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_reconstruct_exit_2_writes_nothing(self, tmp_path, value):
+        ab, _ = write_marginals(tmp_path, sample_haar_state(Dims(2, 3, 2), 1), "one")
+        _, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 3, 2), 2), "two")
+        out = tmp_path / "never.json"
+        report = tmp_path / "report.json"
+        code = main(
+            ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,3,2",
+             "--out", str(out), "--report", str(report), f"--marginal-tol={value}",
+             f"--pair-tol={value}", f"--phase-tol={value}"]
+        )
+        assert code == 2
+        assert not out.exists() and not report.exists()
+
+    def test_roundtrip_failure_before_spectra_is_reported(self, tmp_path):
+        report = tmp_path / "rt.json"
+        code = main(
+            ["roundtrip", "--dims", "2,2,2", "--trials", "2", "--rank-threshold", "0.3",
+             "--report", str(report)]
+        )
+        assert code == 3
+        doc = parse_strict(report)
+        assert doc["summary"]["outcome_counts"] == {"NumericalError": 2}
+        assert doc["summary"]["min_spectral_gap"] is None
+        assert [r["min_spectral_gap"] for r in doc["records"]] == [None, None]
+
+    def test_spacing_too_large_for_a_float_exit_2(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            '{"kind": "grid_wavefunction", "dims": [1, 1, 1], "spacings": [1%s, 1, 1], '
+            '"data": [[1.0, 0.0]]}' % ("0" * 400)
+        )
+        out = tmp_path / "never.json"
+        assert main(["marginals", "--in", str(grid), "--keep", "A", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_undecodable_file_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        out = tmp_path / "never.json"
+        assert main(["marginals", "--in", str(bad), "--keep", "A", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+TOLERANCE_FLAGS = [f.name.replace("_", "-") for f in fields(ReconstructionConfig)]
+TOLERANCE_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1e-8", "0", "1e-8", "1e-3", "0.5", "1e300"]),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def mutated_text(draw, text):
+    """``text`` as it is, truncated, with one byte flipped, or with two tokens swapped."""
+    data = text.encode()
+    kind = draw(st.sampled_from(["keep", "keep", "truncate", "flip", "swap"]))
+    if kind == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif kind == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        data = data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+    elif kind == "swap":
+        parts = re.split(r"([\s\[\]{},:]+)", text)
+        tokens = [i for i in range(0, len(parts), 2) if parts[i]]
+        i, j = draw(st.lists(st.sampled_from(tokens), min_size=2, max_size=2))
+        parts[i], parts[j] = parts[j], parts[i]
+        data = "".join(parts).encode()
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {}
+    for seed in (7, 8):
+        ab, bc = write_marginals(root, sample_haar_state(Dims(2, 2, 2), seed), str(seed))
+        texts[seed] = (ab.read_text(), bc.read_text())
+    return root, texts
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_reconstruct_boundary_fuzz(fuzz_dir, data):
+    """Malformed files and tolerances end in exit 0, 2 or 3, and only valid JSON is written."""
+    root, texts = fuzz_dir
+    ab_text = texts[7][0]
+    bc_text = texts[data.draw(st.sampled_from([7, 8]))][1]
+    ab, bc, out, report = (root / name for name in ("ab", "bc", "out", "report"))
+    ab.write_bytes(data.draw(mutated_text(ab_text)))
+    bc.write_bytes(data.draw(mutated_text(bc_text)))
+    for path in (out, report):
+        path.unlink(missing_ok=True)
+    flags = data.draw(
+        st.dictionaries(st.sampled_from(TOLERANCE_FLAGS), TOLERANCE_VALUES, max_size=2)
+    )
+    code = main(
+        ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,2,2",
+         "--out", str(out), "--report", str(report)]
+        + [f"--{flag}={value}" for flag, value in flags.items()]
+    )
+    assert code in (0, 2, 3)
+    assert out.exists() == (code == 0)
+    for path in (out, report):
+        if path.exists():
+            parse_strict(path)

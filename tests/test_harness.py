@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from tripure import (
+    AlgorithmError,
     ContractError,
     DensityMatrix,
     Dims,
+    MarginalInconsistency,
+    ReconstructionConfig,
     TrialRecord,
     batch_stats,
     fidelity,
@@ -14,6 +19,8 @@ from tripure import (
     run_trials,
     sample_haar_state,
 )
+
+from oracles import min_spectral_gap_reference
 
 
 class TestSampleHaarState:
@@ -151,3 +158,54 @@ class TestValidateOnce:
     def test_construction_from_raw_array_validates_once(self, validations):
         DensityMatrix(("A",), (2,), np.eye(2) / 2)
         assert len(validations) == 1
+
+
+HAAR_SMALL_DIMS = ((2, 2, 2), (2, 3, 4), (3, 3, 3), (4, 4, 4), (2, 5, 3), (3, 4, 2))
+
+
+class TestSpectralGapFromReconstruction:
+    """The gap comes from the reconstruction's own rho_A and rho_C spectra."""
+
+    @pytest.mark.parametrize("dims", HAAR_SMALL_DIMS)
+    def test_gap_matches_reference(self, dims):
+        for seed in range(20):
+            psi = sample_haar_state(Dims(*dims), seed)
+            rec = roundtrip(psi, seed=seed)
+            assert rec.min_spectral_gap is not None
+            expected = min_spectral_gap_reference(psi.amplitudes, dims, 1e-10)
+            assert abs(rec.min_spectral_gap - expected) <= 1e-15
+
+    def test_five_eigensolves_per_roundtrip(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(m, *args, **kwargs):
+            calls.append(m.shape)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        assert roundtrip(sample_haar_state(Dims(2, 3, 4), 5)).outcome == "success"
+        assert len(calls) == 5
+
+    def test_failure_before_spectra_is_recorded(self):
+        psi = sample_haar_state(Dims(2, 2, 2), 0)
+        rec = roundtrip(psi, ReconstructionConfig(rank_threshold=0.3))
+        assert rec.outcome == "NumericalError"
+        assert rec.min_spectral_gap is None
+        stats = json.loads(json.dumps(batch_stats([rec, roundtrip(psi)])))
+        assert stats["outcome_counts"] == {"NumericalError": 1, "success": 1}
+        assert stats["min_spectral_gap"]["min"] > 0.0
+
+    def test_cross_check_failure_has_no_gap(self):
+        rho_ab = partial_trace(sample_haar_state(Dims(2, 2, 2), 1), "AB")
+        rho_bc = partial_trace(sample_haar_state(Dims(2, 2, 2), 2), "BC")
+        with pytest.raises(MarginalInconsistency, match="disagree about rho_B") as info:
+            reconstruct_tripartite(rho_ab, rho_bc, Dims(2, 2, 2))
+        assert info.value.min_spectral_gap is None
+
+    def test_failure_after_spectra_carries_gap(self, ghz_state):
+        rho_ab, rho_bc = partial_trace(ghz_state, "AB"), partial_trace(ghz_state, "BC")
+        with pytest.raises(AlgorithmError) as info:
+            reconstruct_tripartite(rho_ab, rho_bc, ghz_state.dims)
+        assert info.value.min_spectral_gap == roundtrip(ghz_state).min_spectral_gap
+        assert 0.0 <= info.value.min_spectral_gap <= 1e-12

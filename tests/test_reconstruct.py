@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tripure import (
     Dims,
     ExpansionLeakage,
     GenericityViolation,
+    GridWavefunction,
     MarginalInconsistency,
     PhaseGraphDisconnected,
     PhaseInconsistency,
@@ -373,3 +376,43 @@ class TestPipelineInvariants:
         rep = reconstruct_tripartite(*marginal_pair(psi), dims)
         assert fidelity(psi, rep.state) >= 1.0 - 1e-10
         assert any("rho_B" in flag for flag in rep.genericity_flags)
+
+
+GRID_VALUES = np.full(8, 1.0 / np.sqrt(8))
+
+# Each builds an object from a scalar or a bare tuple where a sequence or a
+# typed object is required.
+MALFORMED_ARGUMENTS = {
+    "grid-scalar-spacings": lambda psi, ab, bc: GridWavefunction((2, 2, 2), 1.0, GRID_VALUES),
+    "grid-scalar-shape": lambda psi, ab, bc: GridWavefunction(8, (1.0,) * 3, GRID_VALUES),
+    "density-scalar-dims": lambda psi, ab, bc: DensityMatrix(("A",), 2, np.eye(2) / 2),
+    "density-scalar-subsystems": lambda psi, ab, bc: DensityMatrix(5, (2,), np.eye(2) / 2),
+    "pure-tuple-dims": lambda psi, ab, bc: PureState((2, 2, 2), psi.amplitudes),
+    "reconstruct-tuple-dims": lambda psi, ab, bc: reconstruct_tripartite(ab, bc, (2, 2, 2)),
+    "reconstruct-raw-array": lambda psi, ab, bc: reconstruct_tripartite(ab.matrix, bc, psi.dims),
+}
+
+
+class TestTypedBoundary:
+    """Malformed arguments are refused with ContractError, never a raw exception."""
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(ReconstructionConfig)])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -1.0, 0.0, True, "1e-8", None, 10**400],
+        ids=["nan", "inf", "-1.0", "0.0", "True", "str", "None", "10**400"],
+    )
+    def test_config_rejects_non_positive_finite(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be a positive finite real"):
+            ReconstructionConfig(**{field: value})
+
+    def test_config_stores_floats(self):
+        cfg = ReconstructionConfig(gap_tol=np.float64(1e-7), pair_tol=1)
+        assert type(cfg.gap_tol) is float and type(cfg.pair_tol) is float
+
+    @pytest.mark.parametrize("case", list(MALFORMED_ARGUMENTS))
+    def test_malformed_argument_is_contract_error(self, case):
+        psi = haar(2, 2, 2, 3)
+        ab, bc = marginal_pair(psi)
+        with pytest.raises(ContractError):
+            MALFORMED_ARGUMENTS[case](psi, ab, bc)
