@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 
 from .errors import AlgorithmError, ContractError
 from .harness import batch_stats, run_trials, sample_haar_state
-from .reconstruct import ReconstructionConfig, reconstruct_tripartite
+from .reconstruct import ReconstructionConfig, _outcome_fields, reconstruct_tripartite
 from .states import DensityMatrix, Dims, PureState, fidelity, partial_trace
 from .serialize import read_matrix_file, write_matrix_file
 from .tomography import (
@@ -59,6 +59,13 @@ def _write_report(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _report_failure(path, exc: AlgorithmError, context: dict) -> int:
+    """Write the failure report for ``exc``, name it on stderr and return exit code 3."""
+    _write_report(path, {**_outcome_fields(exc), "detail": str(exc), **context})
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
+
+
 def _cmd_gen(args) -> int:
     dims = Dims(*args.dims)
     state = sample_haar_state(dims, args.seed)
@@ -93,30 +100,13 @@ def _cmd_reconstruct(args) -> int:
         report = reconstruct_tripartite(rho_ab, rho_bc, dims, cfg)
     except AlgorithmError as exc:
         t_done = time.perf_counter()
-        _write_report(
-            args.report,
-            {
-                "outcome": type(exc).__name__,
-                "detail": str(exc),
-                "config": asdict(cfg),
-                "timings": {
-                    "load_s": t_load - t0,
-                    "reconstruct_s": t_done - t_load,
-                    "total_s": t_done - t0,
-                },
-            },
-        )
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        timings = {"load_s": t_load - t0, "reconstruct_s": t_done - t_load, "total_s": t_done - t0}
+        return _report_failure(args.report, exc, {"config": asdict(cfg), "timings": timings})
     t_done = time.perf_counter()
     write_matrix_file(args.out, report.state)
     t_written = time.perf_counter()
     payload = {
-        "outcome": "success",
-        "marginal_residual_ab": report.marginal_residual_ab,
-        "marginal_residual_bc": report.marginal_residual_bc,
-        "compatibility_residual": report.compatibility_residual,
-        "cycle_residual": report.cycle_residual,
+        **_outcome_fields(report),
         "genericity_flags": report.genericity_flags,
         "config": asdict(cfg),
         "timings": {
@@ -135,8 +125,6 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_roundtrip(args) -> int:
     t0 = time.perf_counter()
     dims = Dims(*args.dims)
-    if args.trials < 1:
-        raise ContractError(f"--trials must be >= 1, got {args.trials}")
     cfg = _config_from(args)
     records = run_trials(dims, args.trials, args.seed_base, cfg)
     summary = batch_stats(records)
@@ -177,14 +165,8 @@ def _cmd_tomo_demo(args) -> int:
     try:
         recovered = reconstruct_grid(rho_xy, rho_yz, shape, spacings, cfg)
     except AlgorithmError as exc:
-        elapsed = time.perf_counter() - t0
-        _write_report(
-            args.report,
-            {**base, "outcome": type(exc).__name__, "detail": str(exc),
-             "timings": {"total_s": elapsed}},
-        )
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        timings = {"total_s": time.perf_counter() - t0}
+        return _report_failure(args.report, exc, {**base, "timings": timings})
     fid = grid_fidelity(truth, recovered)
     elapsed = time.perf_counter() - t0
     _write_report(

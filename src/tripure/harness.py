@@ -7,8 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgorithmError, ContractError
-from .reconstruct import ReconstructionConfig, reconstruct_tripartite
-from .states import Dims, PureState, fidelity, partial_trace
+from .reconstruct import ReconstructionConfig, _outcome_fields, reconstruct_tripartite
+from .states import Dims, PureState, _positive_int, fidelity, partial_trace
+
+# Result fields that batch_stats aggregates over the successful trials only.
+_SUCCESS_FIELDS = ("fidelity", "marginal_residual_ab", "marginal_residual_bc",
+                   "compatibility_residual", "cycle_residual")
 
 
 @dataclass(frozen=True)
@@ -18,17 +22,24 @@ class TrialRecord:
     seed: int | None
     dims: tuple[int, int, int]
     outcome: str
-    fidelity: float | None
-    marginal_residual_ab: float | None
-    marginal_residual_bc: float | None
-    compatibility_residual: float | None
-    cycle_residual: float | None
-    min_spectral_gap: float | None
+    fidelity: float | None = None
+    marginal_residual_ab: float | None = None
+    marginal_residual_bc: float | None = None
+    compatibility_residual: float | None = None
+    cycle_residual: float | None = None
+    min_spectral_gap: float | None = None
+
+
+def _seed(name: str, value) -> int:
+    """``value`` as a Python int; anything but a non-negative integer is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ContractError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def sample_haar_state(dims: Dims, seed: int) -> PureState:
     """Normalized vector of iid standard complex Gaussians, uniform on the sphere."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed("seed", seed))
     raw = rng.standard_normal((dims.total, 2))
     amps = raw[:, 0] + 1j * raw[:, 1]
     return PureState(dims, amps / np.linalg.norm(amps))
@@ -49,27 +60,9 @@ def roundtrip(
     try:
         report = reconstruct_tripartite(rho_ab, rho_bc, psi.dims, config)
     except AlgorithmError as exc:
-        return TrialRecord(
-            seed=seed,
-            dims=psi.dims.as_tuple(),
-            outcome=type(exc).__name__,
-            fidelity=None,
-            marginal_residual_ab=None,
-            marginal_residual_bc=None,
-            compatibility_residual=None,
-            cycle_residual=None,
-            min_spectral_gap=exc.min_spectral_gap,
-        )
+        return TrialRecord(seed, psi.dims.as_tuple(), **_outcome_fields(exc))
     return TrialRecord(
-        seed=seed,
-        dims=psi.dims.as_tuple(),
-        outcome="success",
-        fidelity=fidelity(psi, report.state),
-        marginal_residual_ab=report.marginal_residual_ab,
-        marginal_residual_bc=report.marginal_residual_bc,
-        compatibility_residual=report.compatibility_residual,
-        cycle_residual=report.cycle_residual,
-        min_spectral_gap=report.min_spectral_gap,
+        seed, psi.dims.as_tuple(), fidelity=fidelity(psi, report.state), **_outcome_fields(report)
     )
 
 
@@ -80,8 +73,8 @@ def run_trials(
     config: ReconstructionConfig | None = None,
 ) -> list[TrialRecord]:
     """Round-trip ``n_trials`` Haar samples, trial t seeded with seed_base + t."""
-    if n_trials < 1:
-        raise ContractError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _positive_int("n_trials", n_trials)
+    seed_base = _seed("seed_base", seed_base)
     return [
         roundtrip(sample_haar_state(dims, seed_base + t), config, seed=seed_base + t)
         for t in range(n_trials)
@@ -114,11 +107,7 @@ def batch_stats(records: list[TrialRecord]) -> dict:
         "n_records": len(records),
         "success_rate": len(successes) / len(records),
         "outcome_counts": dict(sorted(counts.items())),
-        "fidelity": _quantiles([r.fidelity for r in successes]),
-        "marginal_residual_ab": _quantiles([r.marginal_residual_ab for r in successes]),
-        "marginal_residual_bc": _quantiles([r.marginal_residual_bc for r in successes]),
-        "compatibility_residual": _quantiles([r.compatibility_residual for r in successes]),
-        "cycle_residual": _quantiles([r.cycle_residual for r in successes]),
+        **{name: _quantiles([getattr(r, name) for r in successes]) for name in _SUCCESS_FIELDS},
         "min_spectral_gap": _quantiles([r.min_spectral_gap for r in records]),
         "gap_error_scatter": [[r.min_spectral_gap, 1.0 - r.fidelity] for r in successes],
     }

@@ -101,6 +101,25 @@ class ReconstructionReport:
     min_spectral_gap: float
 
 
+def _outcome_fields(result: ReconstructionReport | AlgorithmError) -> dict:
+    """One run's outcome and scalar results, as trial records and CLI reports name them.
+
+    A report gives ``outcome`` "success" and its residuals and gap; an
+    algorithm error gives its class name and the gap it carries, which is
+    None when it fired before rho_A and rho_C were diagonalized.
+    """
+    if isinstance(result, AlgorithmError):
+        return {"outcome": type(result).__name__, "min_spectral_gap": result.min_spectral_gap}
+    return {
+        "outcome": "success",
+        "marginal_residual_ab": result.marginal_residual_ab,
+        "marginal_residual_bc": result.marginal_residual_bc,
+        "compatibility_residual": result.compatibility_residual,
+        "cycle_residual": result.cycle_residual,
+        "min_spectral_gap": result.min_spectral_gap,
+    }
+
+
 def coefficient_tensors(
     spec_bc: SpectralDecomposition,
     spec_ab: SpectralDecomposition,
@@ -184,6 +203,8 @@ def solve_phases(
         raise ContractError("edge weights have non-finite entries")
     if tree_strategy not in TREE_STRATEGIES:
         raise ContractError(f"unknown tree_strategy {tree_strategy!r}")
+    edge_tol = _positive_real("edge_tol", edge_tol)
+    phase_tol = _positive_real("phase_tol", phase_tol)
     r_a, r_c = w.shape
     mags = np.abs(w)
     peak = float(mags.max())

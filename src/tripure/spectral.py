@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, GenericityViolation, NumericalError, SpectrumMismatch
-from .states import DensityMatrix
+from .states import DensityMatrix, _positive_real
 
 # Bounds both the truncated eigenvalue mass and the Frobenius reconstruction
 # residual; dim * rank_threshold stays below this for dims up to 4096.
@@ -130,6 +130,7 @@ def detect_degeneracy(spec: SpectralDecomposition, gap_tol: float = 1e-8) -> lis
     An empty list means the spectrum is generic (all retained eigenvalues
     separated by at least gap_tol).
     """
+    gap_tol = _positive_real("gap_tol", gap_tol)
     clusters: list[list[int]] = []
     current = [0]
     for idx in range(1, spec.rank):
@@ -155,6 +156,7 @@ def match_spectra(
     ``pair_tol`` (the pairing would be meaningless), and SpectrumMismatch if
     the ranks differ or any matched pair is further apart than ``pair_tol``.
     """
+    pair_tol = _positive_real("pair_tol", pair_tol)
     for name, spec in (("first", spec_a), ("second", spec_bc)):
         clusters = detect_degeneracy(spec, pair_tol)
         if clusters:

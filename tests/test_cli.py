@@ -2,14 +2,23 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripure import Dims, ReconstructionConfig, fidelity, partial_trace, sample_haar_state
+from tripure import (
+    Dims,
+    GenericityViolation,
+    ReconstructionConfig,
+    fidelity,
+    partial_trace,
+    reconstruct_tripartite,
+    roundtrip,
+    sample_haar_state,
+)
 from tripure.cli import main
 from tripure.serialize import read_matrix_file, write_matrix_file
 
@@ -424,3 +433,130 @@ def test_reconstruct_boundary_fuzz(fuzz_dir, data):
     for path in (out, report):
         if path.exists():
             parse_strict(path)
+
+
+RECONSTRUCT_SUCCESS_KEYS = {
+    "outcome", "marginal_residual_ab", "marginal_residual_bc", "compatibility_residual",
+    "cycle_residual", "min_spectral_gap", "genericity_flags", "config", "timings",
+}
+FAILURE_KEYS = {"outcome", "min_spectral_gap", "detail", "config", "timings"}
+
+
+def reconstruct_report(tmp_path, ab, bc, dims, *extra):
+    """Run ``reconstruct`` on two marginal files; return its exit code and report."""
+    report = tmp_path / "report.json"
+    code = main(
+        ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", dims,
+         "--out", str(tmp_path / "out.json"), "--report", str(report), *extra]
+    )
+    return code, parse_strict(report)
+
+
+class TestReportFields:
+    """Reports name a run's outcome and results the way trial records do."""
+
+    def test_success_report_carries_the_gap(self, tmp_path):
+        ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 3, 4), 61), "gap")
+        code, doc = reconstruct_report(tmp_path, ab, bc, "2,3,4")
+        assert code == 0
+        assert set(doc) == RECONSTRUCT_SUCCESS_KEYS
+        rep = reconstruct_tripartite(read_matrix_file(ab), read_matrix_file(bc), Dims(2, 3, 4))
+        assert doc["min_spectral_gap"] == rep.min_spectral_gap
+
+    def test_ghz_failure_carries_the_exception_gap(self, tmp_path, ghz_state):
+        ab, bc = write_marginals(tmp_path, ghz_state, "ghz")
+        code, doc = reconstruct_report(tmp_path, ab, bc, "2,2,2")
+        assert code == 3
+        assert set(doc) == FAILURE_KEYS
+        with pytest.raises(GenericityViolation) as caught:
+            reconstruct_tripartite(read_matrix_file(ab), read_matrix_file(bc), Dims(2, 2, 2))
+        assert doc["outcome"] == "GenericityViolation"
+        assert doc["min_spectral_gap"] == caught.value.min_spectral_gap
+        assert doc["detail"] == str(caught.value)
+        assert set(doc["timings"]) == {"load_s", "reconstruct_s", "total_s"}
+
+    def test_cross_check_failure_reports_null_gap(self, tmp_path):
+        ab, _ = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 15), "one")
+        _, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 5015), "two")
+        code, doc = reconstruct_report(tmp_path, ab, bc, "2,2,2")
+        assert code == 3
+        assert set(doc) == FAILURE_KEYS
+        assert doc["outcome"] == "MarginalInconsistency"
+        assert "rho_B" in doc["detail"]
+        assert doc["min_spectral_gap"] is None
+
+    def test_tomo_failure_carries_a_gap(self, tmp_path, capsys):
+        report = tmp_path / "tomo.json"
+        code = main(
+            ["tomo-demo", "--grid", "8,8,8", "--profile", "symmetric", "--report", str(report)]
+        )
+        assert code == 3
+        doc = parse_strict(report)
+        assert set(doc) == {"profile", "grid", "spacings"} | FAILURE_KEYS
+        assert set(doc["timings"]) == {"total_s"}
+        assert isinstance(doc["min_spectral_gap"], float) and doc["min_spectral_gap"] >= 0.0
+        assert capsys.readouterr().err == f"{doc['outcome']}: {doc['detail']}\n"
+
+    def test_tomo_success_keys_unchanged(self, tmp_path):
+        report = tmp_path / "tomo.json"
+        assert main(
+            ["tomo-demo", "--grid", "6,6,6", "--profile", "separable", "--report", str(report)]
+        ) == 0
+        assert set(parse_strict(report)) == {
+            "profile", "grid", "spacings", "config", "outcome", "fidelity", "timings"
+        }
+
+    def test_roundtrip_record_agrees_with_cli_report(self, tmp_path):
+        psi = sample_haar_state(Dims(2, 3, 4), 63)
+        truth = tmp_path / "psi.json"
+        write_matrix_file(truth, psi)
+        ab, bc = write_marginals(tmp_path, psi, "agree")
+        code, doc = reconstruct_report(tmp_path, ab, bc, "2,3,4", "--truth", str(truth))
+        assert code == 0
+        assert set(doc) == RECONSTRUCT_SUCCESS_KEYS | {"fidelity"}
+        record = asdict(roundtrip(psi))
+        shared = set(record) & set(doc)
+        assert shared == set(record) - {"seed", "dims"}
+        for name in shared:
+            assert doc[name] == record[name], name
+
+
+class TestSeedRefusals:
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--dims", "2,2,2", "--seed=-5"],
+         ["roundtrip", "--dims", "2,2,2", "--trials", "2", "--seed-base=-1"]],
+        ids=["gen", "roundtrip"],
+    )
+    def test_negative_seed_exit_2_writes_nothing(self, tmp_path, argv, capsys):
+        out = tmp_path / "never.json"
+        flag = "--out" if argv[0] == "gen" else "--report"
+        assert main(argv + [flag, str(out)]) == 2
+        assert not out.exists()
+        assert "must be a non-negative integer" in capsys.readouterr().err
+
+
+INTEGERS = st.one_of(st.integers(-3, 8), st.sampled_from([-(2**63), 2**31, 2**64 + 1, 10**30]))
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_integer_flag_fuzz(tmp_path_factory, data):
+    """Seeds, trial counts and grid sizes end in exit 0, 2 or 3; exit 2 writes nothing."""
+    root = tmp_path_factory.mktemp("ints")
+    out = root / "out.json"
+    command = data.draw(st.sampled_from(["gen", "roundtrip", "tomo-demo"]))
+    if command == "gen":
+        argv = ["gen", "--dims", "2,2,2", f"--seed={data.draw(INTEGERS)}", "--out", str(out)]
+    elif command == "roundtrip":
+        argv = ["roundtrip", "--dims", "2,2,2", f"--trials={data.draw(st.integers(-2, 3))}",
+                f"--seed-base={data.draw(INTEGERS)}", "--report", str(out)]
+    else:
+        grid = ",".join(str(data.draw(st.integers(-2, 6))) for _ in range(3))
+        profile = data.draw(st.sampled_from(["separable", "correlated", "symmetric"]))
+        argv = ["tomo-demo", f"--grid={grid}", "--profile", profile, "--report", str(out)]
+    code = main(argv)
+    assert code in (0, 2, 3)
+    assert out.exists() == (code != 2)
+    if out.exists() and command != "gen":
+        parse_strict(out)

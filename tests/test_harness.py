@@ -209,3 +209,35 @@ class TestSpectralGapFromReconstruction:
             reconstruct_tripartite(rho_ab, rho_bc, ghz_state.dims)
         assert info.value.min_spectral_gap == roundtrip(ghz_state).min_spectral_gap
         assert 0.0 <= info.value.min_spectral_gap <= 1e-12
+
+
+class TestSeedsAndTrialCounts:
+    """Seeds are non-negative integers and trial counts positive ones; the rest is refused."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.float64(2.0)])
+    def test_bad_seed_is_contract_error(self, seed):
+        with pytest.raises(ContractError, match="seed must be a non-negative integer"):
+            sample_haar_state(Dims(2, 2, 2), seed)
+
+    def test_numpy_and_huge_seeds_are_accepted(self):
+        dims = Dims(2, 2, 2)
+        np.testing.assert_array_equal(
+            sample_haar_state(dims, np.int64(5)).amplitudes, sample_haar_state(dims, 5).amplitudes
+        )
+        assert sample_haar_state(dims, 10**30).dims == dims
+
+    @pytest.mark.parametrize("n_trials", [2.5, True, -1, "2", None])
+    def test_bad_trial_count_is_contract_error(self, n_trials):
+        with pytest.raises(ContractError, match="n_trials must be a positive integer"):
+            run_trials(Dims(2, 2, 2), n_trials)
+
+    @pytest.mark.parametrize("seed_base", [-1, 0.5, False])
+    def test_bad_seed_base_is_contract_error(self, seed_base):
+        with pytest.raises(ContractError, match="seed_base must be a non-negative integer"):
+            run_trials(Dims(2, 2, 2), 1, seed_base=seed_base)
+
+    def test_numpy_trial_count_and_seed_base(self):
+        records = run_trials(Dims(2, 2, 2), np.int64(2), seed_base=np.int32(3))
+        assert [r.seed for r in records] == [3, 4]
+        assert all(type(r.seed) is int for r in records)
+

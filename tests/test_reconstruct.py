@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripure import (
     AlgorithmError,
@@ -19,12 +21,14 @@ from tripure import (
     assemble_state,
     coefficient_tensors,
     compatibility_residual,
+    detect_degeneracy,
     eig_hermitian,
     fidelity,
     match_spectra,
     partial_trace,
     phase_edges,
     reconstruct_tripartite,
+    sample_haar_state,
     solve_phases,
 )
 from tripure.spectral import SpectralDecomposition, SpectrumPairing
@@ -416,3 +420,75 @@ class TestTypedBoundary:
         ab, bc = marginal_pair(psi)
         with pytest.raises(ContractError):
             MALFORMED_ARGUMENTS[case](psi, ab, bc)
+
+    @pytest.mark.parametrize("parameter", ["pair_tol", "gap_tol", "edge_tol", "phase_tol"])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -1.0, 0.0, True, "1e-8", None],
+        ids=["nan", "inf", "-1.0", "0.0", "True", "str", "None"],
+    )
+    def test_staged_tolerance_rejects_non_positive_finite(self, parameter, value):
+        s = decompose_all(haar(2, 2, 2, 3))
+        edges = phase_edges(tensors_of(haar(2, 2, 2, 3))[0])
+        call = {
+            "pair_tol": lambda: match_spectra(s["a"], s["bc"], pair_tol=value),
+            "gap_tol": lambda: detect_degeneracy(s["a"], gap_tol=value),
+            "edge_tol": lambda: solve_phases(edges, edge_tol=value),
+            "phase_tol": lambda: solve_phases(edges, phase_tol=value),
+        }[parameter]
+        with pytest.raises(ContractError, match=f"{parameter} must be a positive finite real"):
+            call()
+
+
+def mirrored(rho: DensityMatrix) -> DensityMatrix:
+    """A two-party marginal with its two parties swapped and relabelled A<->C."""
+    d_first, d_second = rho.dims
+    m = rho.matrix.reshape(d_first, d_second, d_first, d_second).transpose(1, 0, 3, 2)
+    labels = ("A", "B") if rho.subsystems == ("B", "C") else ("B", "C")
+    return DensityMatrix(labels, (d_second, d_first), m.reshape(rho.dim, rho.dim))
+
+
+def rotated(psi: PureState, seed: int) -> PureState:
+    """``psi`` under the Haar-random local unitary U_A (x) U_B (x) U_C drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    u_a, u_b, u_c = (haar_unitary(d, rng) for d in psi.dims.as_tuple())
+    tensor = np.einsum("ai,bj,ck,ijk->abc", u_a, u_b, u_c, psi.as_tensor())
+    return PureState(psi.dims, tensor.reshape(-1))
+
+
+PARTY_DIM = st.integers(1, 5)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestSymmetryProperties:
+    """Relabelling and local-unitary properties of the reconstruction, at random dims."""
+
+    @settings(max_examples=40)
+    @given(d_a=PARTY_DIM, d_b=st.integers(2, 5), d_c=PARTY_DIM, seed=SEEDS)
+    def test_mirror_relabelling(self, d_a, d_b, d_c, seed):
+        psi = sample_haar_state(Dims(d_a, d_b, d_c), seed)
+        rho_ab, rho_bc = marginal_pair(psi)
+        rep = reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        mirror_dims = Dims(d_c, d_b, d_a)
+        rep_mirror = reconstruct_tripartite(mirrored(rho_bc), mirrored(rho_ab), mirror_dims)
+        expected = PureState(mirror_dims, rep.state.as_tensor().transpose(2, 1, 0).reshape(-1))
+        assert fidelity(expected, rep_mirror.state) >= 1.0 - 1e-10
+
+    @settings(max_examples=60)
+    @given(d_a=PARTY_DIM, d_b=st.integers(2, 5), d_c=PARTY_DIM, seed=SEEDS)
+    def test_local_unitary_covariance(self, d_a, d_b, d_c, seed):
+        psi = sample_haar_state(Dims(d_a, d_b, d_c), seed)
+        psi_rot = rotated(psi, seed)
+        rep = reconstruct_tripartite(*marginal_pair(psi_rot), psi.dims)
+        assert fidelity(psi_rot, rep.state) >= 1.0 - 1e-10
+        base = reconstruct_tripartite(*marginal_pair(psi), psi.dims)
+        assert fidelity(rotated(base.state, seed), rep.state) >= 1.0 - 1e-10
+
+    @settings(max_examples=34)
+    @given(d_a=st.integers(2, 5), d_c=st.integers(2, 5), seed=SEEDS)
+    def test_trivial_middle_party_is_refused(self, d_a, d_c, seed):
+        # With d_B = 1, rho_AB and rho_BC are only rho_A and rho_C: nothing
+        # links the Schmidt branches, so the phase graph falls apart.
+        psi = sample_haar_state(Dims(d_a, 1, d_c), seed)
+        with pytest.raises(PhaseGraphDisconnected):
+            reconstruct_tripartite(*marginal_pair(psi), psi.dims)
