@@ -16,7 +16,7 @@ from dataclasses import asdict, fields
 from .errors import AlgorithmError, ContractError
 from .harness import batch_stats, run_trials, sample_haar_state
 from .reconstruct import ReconstructionConfig, _outcome_fields, reconstruct_tripartite
-from .states import DensityMatrix, Dims, PureState, fidelity, partial_trace
+from .states import Dims, PureState, fidelity, partial_trace
 from .serialize import read_matrix_file, write_matrix_file
 from .tomography import (
     PROFILES,
@@ -75,8 +75,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_marginals(args) -> int:
     obj = read_matrix_file(getattr(args, "in"))
-    if not isinstance(obj, (PureState, DensityMatrix)):
-        raise ContractError("input must be a pure_state or density_matrix file")
     reduced = partial_trace(obj, tuple(args.keep))
     write_matrix_file(args.out, reduced)
     return 0
@@ -87,13 +85,9 @@ def _cmd_reconstruct(args) -> int:
     dims = Dims(*args.dims)
     rho_ab = read_matrix_file(args.ab)
     rho_bc = read_matrix_file(args.bc)
-    if not isinstance(rho_ab, DensityMatrix) or not isinstance(rho_bc, DensityMatrix):
-        raise ContractError("--ab and --bc must be density_matrix files")
-    truth = None
-    if args.truth is not None:
-        truth = read_matrix_file(args.truth)
-        if not isinstance(truth, PureState):
-            raise ContractError("--truth must be a pure_state file")
+    truth = None if args.truth is None else read_matrix_file(args.truth)
+    if truth is not None and (not isinstance(truth, PureState) or truth.dims != dims):
+        raise ContractError(f"--truth must be a pure_state file with dims {dims.as_tuple()}")
     cfg = _config_from(args)
     t_load = time.perf_counter()
     try:

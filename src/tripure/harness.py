@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import AlgorithmError, ContractError
 from .reconstruct import ReconstructionConfig, _outcome_fields, reconstruct_tripartite
-from .states import Dims, PureState, _positive_int, fidelity, partial_trace
+from .states import Dims, PureState, _instance, _integer, fidelity, partial_trace
 
 # Result fields that batch_stats aggregates over the successful trials only.
 _SUCCESS_FIELDS = ("fidelity", "marginal_residual_ab", "marginal_residual_bc",
@@ -30,17 +30,10 @@ class TrialRecord:
     min_spectral_gap: float | None = None
 
 
-def _seed(name: str, value) -> int:
-    """``value`` as a Python int; anything but a non-negative integer is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ContractError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
 def sample_haar_state(dims: Dims, seed: int) -> PureState:
     """Normalized vector of iid standard complex Gaussians, uniform on the sphere."""
-    rng = np.random.default_rng(_seed("seed", seed))
-    raw = rng.standard_normal((dims.total, 2))
+    rng = np.random.default_rng(_integer("seed", seed, least=0))
+    raw = rng.standard_normal((_instance("dims", dims, Dims).total, 2))
     amps = raw[:, 0] + 1j * raw[:, 1]
     return PureState(dims, amps / np.linalg.norm(amps))
 
@@ -73,8 +66,8 @@ def run_trials(
     config: ReconstructionConfig | None = None,
 ) -> list[TrialRecord]:
     """Round-trip ``n_trials`` Haar samples, trial t seeded with seed_base + t."""
-    n_trials = _positive_int("n_trials", n_trials)
-    seed_base = _seed("seed_base", seed_base)
+    n_trials = _integer("n_trials", n_trials)
+    seed_base = _integer("seed_base", seed_base, least=0)
     return [
         roundtrip(sample_haar_state(dims, seed_base + t), config, seed=seed_base + t)
         for t in range(n_trials)

@@ -32,7 +32,16 @@ from .spectral import (
     eig_hermitian,
     match_spectra,
 )
-from .states import DensityMatrix, Dims, PureState, _positive_real, partial_trace
+from .states import (
+    DensityMatrix,
+    Dims,
+    PureState,
+    _array,
+    _choice,
+    _instance,
+    _positive_real,
+    partial_trace,
+)
 
 # Largest tolerated deficit of sum_jk |overlap|^2 from 1 per eigenvector.
 EXPANSION_LEAK_TOL = 1e-6
@@ -196,13 +205,10 @@ def solve_phases(
     index order).  Any two strategies must agree up to the overall gauge
     whenever the inputs really are marginals of one pure state.
     """
-    w = np.asarray(edge_weights, dtype=complex)
+    w = _array("edge_weights", edge_weights)
     if w.ndim != 2 or w.size == 0:
-        raise ContractError(f"edge array must be a nonempty 2-d array, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise ContractError("edge weights have non-finite entries")
-    if tree_strategy not in TREE_STRATEGIES:
-        raise ContractError(f"unknown tree_strategy {tree_strategy!r}")
+        raise ContractError(f"edge_weights must be a nonempty 2-d array, got shape {w.shape}")
+    tree_strategy = _choice("tree_strategy", tree_strategy, TREE_STRATEGIES)
     edge_tol = _positive_real("edge_tol", edge_tol)
     phase_tol = _positive_real("phase_tol", phase_tol)
     r_a, r_c = w.shape
@@ -280,9 +286,7 @@ def assemble_state(
     """
     if spec_a.original_dim != dims.d_a or spec_bc.original_dim != dims.d_b * dims.d_c:
         raise ContractError("decompositions do not match dims")
-    a_phases = np.asarray(a_phases, dtype=float)
-    if a_phases.shape != (spec_a.rank,):
-        raise ContractError(f"expected {spec_a.rank} branch phases, got {a_phases.shape}")
+    a_phases = _array("a_phases", a_phases, (spec_a.rank,), dtype=float)
     weights = np.exp(1j * a_phases) * np.sqrt(spec_a.eigenvalues)
     partners = spec_bc.eigenvectors[:, pairing.permutation]
     amps = ((spec_a.eigenvectors * weights) @ partners.T).reshape(-1)
@@ -317,12 +321,8 @@ def compatibility_residual(
     return float(np.abs(lhs - rhs).max())
 
 
-def _check_input(rho: DensityMatrix, subsystems: tuple[str, str], dims: Dims) -> None:
-    if not isinstance(rho, DensityMatrix) or not isinstance(dims, Dims):
-        raise ContractError(
-            f"expected a DensityMatrix and Dims, got {type(rho).__name__} and "
-            f"{type(dims).__name__}"
-        )
+def _check_input(name: str, rho, subsystems: tuple[str, str], dims: Dims) -> None:
+    _instance(name, rho, DensityMatrix)
     expected_dims = tuple(dims.of(s) for s in subsystems)
     if rho.subsystems != subsystems or rho.dims != expected_dims:
         raise ContractError(
@@ -346,9 +346,11 @@ def reconstruct_tripartite(
     compatible with a single generic pure state; each error raised after
     rho_A and rho_C are diagonalized carries their ``min_spectral_gap``.
     """
-    cfg = config if config is not None else ReconstructionConfig()
-    _check_input(rho_ab, ("A", "B"), dims)
-    _check_input(rho_bc, ("B", "C"), dims)
+    cfg = ReconstructionConfig() if config is None else config
+    _instance("config", cfg, ReconstructionConfig)
+    _instance("dims", dims, Dims)
+    _check_input("rho_ab", rho_ab, ("A", "B"), dims)
+    _check_input("rho_bc", rho_bc, ("B", "C"), dims)
 
     rho_a = partial_trace(rho_ab, ("A",))
     rho_b_from_ab = partial_trace(rho_ab, ("B",))

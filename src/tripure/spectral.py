@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, GenericityViolation, NumericalError, SpectrumMismatch
-from .states import DensityMatrix, _positive_real
+from .states import DensityMatrix, _instance, _integer, _positive_real
 
 # Bounds both the truncated eigenvalue mass and the Frobenius reconstruction
 # residual; dim * rank_threshold stays below this for dims up to 4096.
@@ -92,11 +92,11 @@ def eig_hermitian(
     what a full solve keeps.
     Otherwise the full dense solve runs as if no bound were given.
     """
-    if not (0.0 < rank_threshold < 1.0):
+    m = _instance("rho", rho, DensityMatrix).matrix
+    if _positive_real("rank_threshold", rank_threshold) >= 1.0:
         raise ContractError(f"rank_threshold must lie in (0, 1), got {rank_threshold!r}")
-    m = rho.matrix
     kept_vals = kept_vecs = None
-    k = None if rank_bound is None else rank_bound + SKETCH_OVERSAMPLE
+    k = None if rank_bound is None else _integer("rank_bound", rank_bound) + SKETCH_OVERSAMPLE
     if k is not None and m.shape[0] >= SKETCH_MIN_RATIO * k:
         vals, vecs, residual = _truncate(m, *_range_sketch(m, k), rank_threshold)
         if residual <= min(rank_threshold, RANK_LEAK_TOL):

@@ -22,14 +22,15 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as a Python int; anything but a positive integer is rejected.
+def _integer(name: str, value, least: int = 1) -> int:
+    """``value`` as a Python int >= ``least``: 1 for sizes and counts, 0 for seeds.
 
     ``bool``, floats and strings are refused rather than coerced, so a
-    malformed size never turns silently into a valid one.
+    malformed size or seed never turns silently into a valid one.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
-        raise ContractError(f"{name} must be a positive integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise ContractError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
 
 
@@ -37,7 +38,7 @@ def _positive_real(name: str, value) -> float:
     """``value`` as a Python float; anything but a positive finite real is rejected.
 
     ``bool``, strings, ``None``, NaN, infinities and integers too large for a
-    float are refused rather than coerced, like the sizes ``_positive_int``
+    float are refused rather than coerced, like the sizes ``_integer``
     checks.
     """
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
@@ -58,6 +59,47 @@ def _sequence(name: str, value) -> tuple:
         raise ContractError(f"{name} must be a sequence, got {value!r}") from None
 
 
+def _entries(name: str, values, check, length: int) -> tuple:
+    """``values`` as a tuple of ``length`` entries, entry ``idx`` passed through ``check``."""
+    values = _sequence(name, values)
+    if len(values) != length:
+        raise ContractError(f"{name} must have {length} entries, got {values!r}")
+    return tuple(check(f"{name}[{idx}]", v) for idx, v in enumerate(values))
+
+
+def _array(name: str, value, shape: tuple | None = None, dtype=complex) -> np.ndarray:
+    """``value`` as a finite ``dtype`` array, of ``shape`` when one is given.
+
+    Non-numeric content is refused by its type name, since a matrix repr can be huge.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or not np.can_cast(arr.dtype, dtype, "same_kind"):
+        raise ContractError(f"{name} must be numeric, got {type(value).__name__}")
+    arr = arr.astype(dtype, copy=False)
+    if shape is not None and arr.shape != shape:
+        raise ContractError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ContractError(f"{name} has non-finite entries")
+    return arr
+
+
+def _choice(name: str, value, choices: tuple[str, ...]) -> str:
+    """``value`` when it is one of the strings in ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ContractError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _instance(name: str, value, cls: type):
+    """``value`` when it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ContractError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Dims:
     """Subsystem dimensions (d_a, d_b, d_c), all strictly positive."""
@@ -68,7 +110,7 @@ class Dims:
 
     def __post_init__(self):
         for name in ("d_a", "d_b", "d_c"):
-            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.d_a, self.d_b, self.d_c)
@@ -96,15 +138,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.dims, Dims):
-            raise ContractError(f"dims must be a Dims, got {self.dims!r}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dims.total,):
-            raise ContractError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.dims.total},)"
-            )
-        if not np.isfinite(amps).all():
-            raise ContractError("amplitude vector has non-finite entries")
+        dims = _instance("dims", self.dims, Dims)
+        amps = _array("amplitudes", self.amplitudes, (dims.total,))
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ContractError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
@@ -133,21 +168,15 @@ class DensityMatrix:
 
     def __post_init__(self):
         subs = _sequence("subsystems", self.subsystems)
-        order = [s for s in SUBSYSTEM_LABELS if s in subs]
-        if not subs or len(set(subs)) != len(subs) or tuple(order) != subs:
+        for s in subs:
+            _choice("subsystems", s, SUBSYSTEM_LABELS)
+        if not subs or tuple(s for s in SUBSYSTEM_LABELS if s in subs) != subs:
             raise ContractError(
                 f"subsystems must be an ordered subset of {SUBSYSTEM_LABELS}, got {subs!r}"
             )
-        dims = _sequence("dims", self.dims)
-        if len(dims) != len(subs):
-            raise ContractError(f"dims {dims!r} do not match subsystems {subs!r}")
-        dims = tuple(_positive_int(f"dims[{idx}]", d) for idx, d in enumerate(dims))
+        dims = _entries("dims", self.dims, _integer, len(subs))
         n = int(np.prod(dims))
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (n, n):
-            raise ContractError(f"matrix has shape {m.shape}, expected ({n}, {n})")
-        if not np.isfinite(m).all():
-            raise ContractError("matrix has non-finite entries")
+        m = _array("matrix", self.matrix, (n, n))
         herm_gap = np.abs(m - m.conj().T).max()
         if herm_gap > HERM_TOL:
             raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {herm_gap:.3e}")
@@ -186,12 +215,9 @@ class DensityMatrix:
 
 
 def _canonical_keep(keep, available: tuple[str, ...]) -> tuple[str, ...]:
-    labels = tuple(keep)
+    labels = _sequence("keep", keep)
     for lab in labels:
-        if lab not in SUBSYSTEM_LABELS:
-            raise ContractError(f"unknown subsystem label {lab!r}")
-        if lab not in available:
-            raise ContractError(f"subsystem {lab!r} not present in state over {available}")
+        _choice("keep", lab, available)
     ordered = tuple(s for s in available if s in labels)
     if len(set(labels)) != len(labels):
         raise ContractError(f"duplicate labels in keep set {labels!r}")

@@ -20,9 +20,12 @@ from .states import (
     DensityMatrix,
     Dims,
     PureState,
-    _positive_int,
+    _array,
+    _choice,
+    _entries,
+    _instance,
+    _integer,
     _positive_real,
-    _sequence,
     partial_trace,
 )
 
@@ -33,18 +36,12 @@ PROFILES = ("separable", "correlated", "symmetric")
 
 
 def _grid_shape(shape) -> tuple[int, int, int]:
-    shape = _sequence("grid shape", shape)
-    if len(shape) != 3:
-        raise ContractError(f"grid shape must be three positive sizes, got {shape!r}")
-    return tuple(_positive_int(f"shape[{idx}]", n) for idx, n in enumerate(shape))
+    return _entries("shape", shape, _integer, 3)
 
 
 def _grid_spacings(spacings) -> tuple[float, float, float]:
     """Three spacings as Python floats; each must be a positive finite real."""
-    spacings = _sequence("spacings", spacings)
-    if len(spacings) != 3:
-        raise ContractError(f"spacings must be three positive finite reals, got {spacings!r}")
-    return tuple(_positive_real(f"spacings[{idx}]", h) for idx, h in enumerate(spacings))
+    return _entries("spacings", spacings, _positive_real, 3)
 
 
 @dataclass(frozen=True)
@@ -61,12 +58,7 @@ class GridWavefunction:
     def __post_init__(self):
         shape = _grid_shape(self.shape)
         spacings = _grid_spacings(self.spacings)
-        vals = np.asarray(self.values, dtype=complex)
-        n = shape[0] * shape[1] * shape[2]
-        if vals.shape != (n,):
-            raise ContractError(f"values have shape {vals.shape}, expected ({n},)")
-        if not np.isfinite(vals).all():
-            raise ContractError("grid values have non-finite entries")
+        vals = _array("values", self.values, (shape[0] * shape[1] * shape[2],))
         norm_sq = float((np.abs(vals) ** 2).sum() * np.prod(spacings))
         if abs(norm_sq - 1.0) > GRID_NORM_TOL:
             raise ContractError(f"discrete L2 norm^2 is {norm_sq!r}, expected 1")
@@ -78,20 +70,15 @@ class GridWavefunction:
     def measure(self) -> float:
         return float(np.prod(self.spacings))
 
-    def as_tensor(self) -> np.ndarray:
-        return self.values.reshape(self.shape)
-
 
 def normalize_grid(shape, spacings, raw_values) -> GridWavefunction:
     """Build a GridWavefunction from unnormalized samples."""
     spacings = _grid_spacings(spacings)
-    raw = np.asarray(raw_values, dtype=complex).reshape(-1)
-    if not np.isfinite(raw).all():
-        raise ContractError("grid samples have non-finite entries")
+    raw = _array("raw_values", raw_values).reshape(-1)
     norm = np.sqrt((np.abs(raw) ** 2).sum() * np.prod(spacings))
     if norm <= 0.0:
         raise ContractError("cannot normalize identically zero samples")
-    return GridWavefunction(tuple(shape), spacings, raw / norm)
+    return GridWavefunction(shape, spacings, raw / norm)
 
 
 def grid_fidelity(g1: GridWavefunction, g2: GridWavefunction) -> float:
@@ -109,9 +96,8 @@ def planar_density(psi: GridWavefunction, plane: str) -> DensityMatrix:
     is the partial trace of the unit vector ``values / ||values||`` (the
     spacings cancel), and that is how it is computed.
     """
-    keep = {"XY": "AB", "YZ": "BC"}.get(plane)
-    if keep is None:
-        raise ContractError(f"plane must be 'XY' or 'YZ', got {plane!r}")
+    psi = _instance("psi", psi, GridWavefunction)
+    keep = {"XY": "AB", "YZ": "BC"}[_choice("plane", plane, ("XY", "YZ"))]
     values = psi.values / np.linalg.norm(psi.values)
     return partial_trace(PureState(Dims(*psi.shape), values), keep)
 
@@ -130,8 +116,8 @@ def reconstruct_grid(
     original up to a global phase whenever the planar spectra are generic.
     """
     spacings = _grid_spacings(spacings)
-    dims = Dims(*shape)
-    report = reconstruct_tripartite(rho_xy, rho_yz, dims, config)
+    shape = _grid_shape(shape)
+    report = reconstruct_tripartite(rho_xy, rho_yz, Dims(*shape), config)
     values = report.state.amplitudes / np.sqrt(float(np.prod(spacings)))
     return GridWavefunction(shape, spacings, values)
 
@@ -163,6 +149,7 @@ def build_profile(name: str, shape, spacings=None) -> GridWavefunction:
                 marginal has an exactly degenerate eigenvalue pair, so
                 reconstruction must refuse.
     """
+    name = _choice("name", name, PROFILES)
     shape = _grid_shape(shape)
     if shape[0] * shape[1] * shape[2] > MAX_GRID_POINTS:
         raise ContractError(
@@ -189,7 +176,7 @@ def build_profile(name: str, shape, spacings=None) -> GridWavefunction:
         )
         ramp = 0.23 * x - 0.11 * y + 0.17 * z + 0.12 * x * y - 0.09 * y * z
         raw = np.exp(-0.5 * quad + 1j * ramp)
-    elif name == "symmetric":
+    else:  # "symmetric"
         gauss_x = np.exp(-0.5 * (xs / 1.0) ** 2)
         gauss_y = np.exp(-0.5 * (ys / 1.2) ** 2)
         f1 = np.outer(gauss_x, gauss_y)
@@ -210,6 +197,4 @@ def build_profile(name: str, shape, spacings=None) -> GridWavefunction:
             f1[:, :, None] * h_even[None, None, :]
             + f2[:, :, None] * h_odd[None, None, :]
         ) / np.sqrt(2.0)
-    else:
-        raise ContractError(f"unknown profile {name!r}; choose from {PROFILES}")
     return normalize_grid(shape, spacings, raw)

@@ -560,3 +560,67 @@ def test_integer_flag_fuzz(tmp_path_factory, data):
     assert out.exists() == (code != 2)
     if out.exists() and command != "gen":
         parse_strict(out)
+
+
+class TestUntracedExitTwo:
+    """Wrong file kinds and an unwritable report end in exit 2 with one error line."""
+
+    def _assert_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_marginals_of_a_grid_file(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            '{"kind": "grid_wavefunction", "dims": [1, 1, 1], "spacings": [1, 1, 1], '
+            '"data": [[1.0, 0.0]]}'
+        )
+        out = tmp_path / "never.json"
+        self._assert_exit_2(["marginals", "--in", str(grid), "--keep", "A", "--out", str(out)],
+                            capsys)
+        assert not out.exists()
+
+    def test_reconstruct_ab_given_a_pure_state(self, tmp_path, capsys):
+        psi = gen(tmp_path, "psi.json")
+        _, bc = write_marginals(tmp_path, read_matrix_file(psi), "kind")
+        out = tmp_path / "never.json"
+        self._assert_exit_2(
+            ["reconstruct", "--ab", str(psi), "--bc", str(bc), "--dims", "2,2,2",
+             "--out", str(out)],
+            capsys,
+        )
+        assert not out.exists()
+
+    def test_truth_given_a_density_matrix(self, tmp_path, capsys):
+        psi = gen(tmp_path, "psi.json")
+        ab, bc = write_marginals(tmp_path, read_matrix_file(psi), "kind")
+        out = tmp_path / "never.json"
+        self._assert_exit_2(
+            ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,2,2",
+             "--out", str(out), "--truth", str(ab)],
+            capsys,
+        )
+        assert not out.exists()
+
+    def test_report_into_a_missing_directory(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.json"
+        self._assert_exit_2(
+            ["roundtrip", "--dims", "2,2,2", "--trials", "1", "--report", str(report)], capsys
+        )
+        assert not report.exists()
+
+
+def test_truth_of_other_dims_exit_2_writes_nothing(tmp_path, capsys):
+    psi = sample_haar_state(Dims(2, 3, 4), 71)
+    ab, bc = write_marginals(tmp_path, psi, "dims")
+    other = gen(tmp_path, "other.json", dims="2,2,2")
+    out = tmp_path / "never.json"
+    report = tmp_path / "report.json"
+    code = main(
+        ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,3,4",
+         "--out", str(out), "--report", str(report), "--truth", str(other)]
+    )
+    assert code == 2
+    assert not out.exists() and not report.exists()
+    assert "--truth must be a pure_state file with dims (2, 3, 4)" in capsys.readouterr().err

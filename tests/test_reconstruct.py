@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -492,3 +493,19 @@ class TestSymmetryProperties:
         psi = sample_haar_state(Dims(d_a, 1, d_c), seed)
         with pytest.raises(PhaseGraphDisconnected):
             reconstruct_tripartite(*marginal_pair(psi), psi.dims)
+
+
+@pytest.mark.parametrize(
+    "func, parameter",
+    [
+        (eig_hermitian, "rank_threshold"),
+        (detect_degeneracy, "gap_tol"),
+        (match_spectra, "pair_tol"),
+        (solve_phases, "edge_tol"),
+        (solve_phases, "phase_tol"),
+    ],
+)
+def test_staged_defaults_equal_the_config_defaults(func, parameter):
+    """Calls of the staged API without tolerances use the pipeline's tolerances."""
+    default = inspect.signature(func).parameters[parameter].default
+    assert default == getattr(ReconstructionConfig(), parameter)
