@@ -222,8 +222,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_tolerance_values(argv: list[str]) -> list[str]:
+    """``--flag value`` as ``--flag=value`` for each tolerance flag.
+
+    argparse takes a value such as ``-1e-8`` for an option, not a number, so
+    the ``--flag value`` form would fail before the value reaches the
+    contract check that ``--flag=-1e-8`` gets.
+    """
+    flags = {f"--{name.replace('_', '-')}" for name in _TOLERANCE_FLAGS}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_tolerance_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .errors import ContractError
-from .states import DensityMatrix, Dims, PureState
+from .states import DensityMatrix, Dims, PureState, _array
 from .tomography import GridWavefunction
 
 KIND_PURE = "pure_state"
@@ -60,7 +60,7 @@ def write_matrix_file(path, obj) -> None:
 
 def _as_complex(data, ndim: int) -> np.ndarray:
     """Complex vector (``ndim`` 1) or matrix (``ndim`` 2) from nested ``[re, im]`` pairs."""
-    arr = np.asarray(data, dtype=float)
+    arr = _array("data", data, dtype=float)
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ContractError(f"data has shape {arr.shape}, expected ({'n, ' * ndim}2)")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -14,17 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, GenericityViolation, NumericalError, SpectrumMismatch
-from .states import DensityMatrix, _instance, _integer, _positive_real
+from .states import (
+    SKETCH_MIN_RATIO,
+    SKETCH_OVERSAMPLE,
+    DensityMatrix,
+    _instance,
+    _integer,
+    _positive_real,
+    _range_sketch,
+)
 
 # Bounds both the truncated eigenvalue mass and the Frobenius reconstruction
 # residual; dim * rank_threshold stays below this for dims up to 4096.
 RANK_LEAK_TOL = 1e-6
-
-# Low-rank sketch: probe columns beyond the expected rank, the least matrix
-# size per probe column worth sketching, and the probes' fixed seed.
-SKETCH_OVERSAMPLE = 8
-SKETCH_MIN_RATIO = 8
-SKETCH_SEED = 403200
 
 
 @dataclass(frozen=True)
@@ -43,21 +45,6 @@ class SpectrumPairing:
 
     permutation: np.ndarray
     max_pair_gap: float
-
-
-def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenpairs of ``m`` restricted to the range of ``m`` times k probe vectors.
-
-    Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53:217,
-    2011) with fixed-seed complex Gaussian probes, so reruns are identical.
-    Returns k eigenpairs in ascending order, as ``numpy.linalg.eigh`` does.
-    """
-    rng = np.random.default_rng(SKETCH_SEED)
-    probes = rng.standard_normal((m.shape[0], k)) + 1j * rng.standard_normal((m.shape[0], k))
-    q, _ = np.linalg.qr(m @ probes)
-    small = q.conj().T @ m @ q
-    vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
-    return vals, q @ vecs
 
 
 def _truncate(

@@ -21,6 +21,12 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
+# Low-rank sketch: probe columns beyond the expected rank, the least matrix
+# size per probe column worth sketching, and the probes' fixed seed.
+SKETCH_OVERSAMPLE = 8
+SKETCH_MIN_RATIO = 8
+SKETCH_SEED = 403200
+
 
 def _integer(name: str, value, least: int = 1) -> int:
     """``value`` as a Python int >= ``least``: 1 for sizes and counts, 0 for seeds.
@@ -100,6 +106,45 @@ def _instance(name: str, value, cls: type):
     return value
 
 
+def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenpairs of ``m`` restricted to the range of ``m`` times k probe vectors.
+
+    Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53:217,
+    2011) with fixed-seed complex Gaussian probes, so reruns are identical.
+    Returns k eigenpairs in ascending order, as ``numpy.linalg.eigh`` does.
+    """
+    rng = np.random.default_rng(SKETCH_SEED)
+    probes = rng.standard_normal((m.shape[0], k)) + 1j * rng.standard_normal((m.shape[0], k))
+    q, _ = np.linalg.qr(m @ probes)
+    small = q.conj().T @ m @ q
+    vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
+    return vals, q @ vecs
+
+
+def _psd_by_sketch(m: np.ndarray) -> bool:
+    """Whether a range sketch certifies that every eigenvalue of ``m`` is >= -PSD_TOL / 2.
+
+    With sketched eigenpairs ``V, lam``, the matrix ``V diag(lam) V^dag`` has
+    spectrum ``lam`` and zeros, so by Weyl's inequality ``lambda_min(m) >=
+    min(lam_min, 0) - ||R||_F`` for the residual ``R = m - V diag(lam) V^dag``.
+    Tried with ``2 * SKETCH_OVERSAMPLE`` probes, doubled while the matrix is
+    ``SKETCH_MIN_RATIO`` times the probe count.  A sketched eigenvalue below
+    the bound ends the search: by interlacing, ``m`` has one at least as low.
+    """
+    n = m.shape[0]
+    k = 2 * SKETCH_OVERSAMPLE
+    while n >= SKETCH_MIN_RATIO * k:
+        vals, vecs = _range_sketch(m, k)
+        if vals[0] < -PSD_TOL / 2:
+            return False
+        residual = (vecs * vals) @ vecs.conj().T
+        residual -= m
+        if min(vals[0], 0.0) - np.linalg.norm(residual) >= -PSD_TOL / 2:
+            return True
+        k *= 2
+    return False
+
+
 @dataclass(frozen=True)
 class Dims:
     """Subsystem dimensions (d_a, d_b, d_c), all strictly positive."""
@@ -157,9 +202,13 @@ class DensityMatrix:
     ``subsystems`` is an ordered subset of ("A", "B", "C") and ``dims`` holds
     the matching per-subsystem dimensions.  Construction symmetrizes the
     matrix, (M + M^dag) / 2, when it is Hermitian within ``HERM_TOL`` and
-    rejects it otherwise.  Positive semidefiniteness is accepted from a
-    Cholesky factorization of ``M + PSD_TOL * I``; only when that fails is
-    the smallest eigenvalue computed and compared with ``-PSD_TOL``.
+    rejects it otherwise; validation changes the matrix in no other way.
+    Positive semidefiniteness is accepted first from a range sketch whose
+    residual certifies ``lambda_min >= -PSD_TOL / 2`` (``_psd_by_sketch``),
+    which settles a large low-rank matrix in O(n^2 k).  Otherwise it is
+    accepted from a Cholesky factorization of ``M + PSD_TOL * I``; only when
+    that fails is the smallest eigenvalue computed and compared with
+    ``-PSD_TOL``.
     """
 
     subsystems: tuple[str, ...]
@@ -177,21 +226,25 @@ class DensityMatrix:
         dims = _entries("dims", self.dims, _integer, len(subs))
         n = int(np.prod(dims))
         m = _array("matrix", self.matrix, (n, n))
-        herm_gap = np.abs(m - m.conj().T).max()
+        mh = np.conjugate(m.T, order="C")
+        herm_gap = np.abs(m - mh).max()
         if herm_gap > HERM_TOL:
             raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {herm_gap:.3e}")
-        m = (m + m.conj().T) / 2.0
+        mh += m
+        mh /= 2.0
+        m = mh
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ContractError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
-        try:
-            np.linalg.cholesky(m + PSD_TOL * np.eye(n))
-        except np.linalg.LinAlgError:
-            lam_min = np.linalg.eigvalsh(m)[0]
-            if lam_min < -PSD_TOL:
-                raise ContractError(
-                    f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}"
-                ) from None
+        if not _psd_by_sketch(m):
+            try:
+                np.linalg.cholesky(m + PSD_TOL * np.eye(n))
+            except np.linalg.LinAlgError:
+                lam_min = np.linalg.eigvalsh(m)[0]
+                if lam_min < -PSD_TOL:
+                    raise ContractError(
+                        f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}"
+                    ) from None
         object.__setattr__(self, "subsystems", subs)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
@@ -206,7 +259,10 @@ class DensityMatrix:
         rho = object.__new__(cls)
         object.__setattr__(rho, "subsystems", subsystems)
         object.__setattr__(rho, "dims", tuple(int(d) for d in dims))
-        object.__setattr__(rho, "matrix", (m + m.conj().T) / 2.0)
+        mh = np.conjugate(m.T, order="C")
+        mh += m
+        mh /= 2.0
+        object.__setattr__(rho, "matrix", mh)
         return rho
 
     @property
@@ -277,11 +333,13 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
 
 def fidelity(psi1: PureState, psi2: PureState) -> float:
     """|<psi1|psi2>|^2; invariant under global phases on either argument."""
-    if psi1.dims != psi2.dims:
+    _instance("psi1", psi1, PureState)
+    if _instance("psi2", psi2, PureState).dims != psi1.dims:
         raise ContractError(f"dimension mismatch: {psi1.dims} vs {psi2.dims}")
     return float(abs(np.vdot(psi1.amplitudes, psi2.amplitudes)) ** 2)
 
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), 1 for pure states and 1/d for maximally mixed ones."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+    m = _instance("rho", rho, DensityMatrix).matrix
+    return float(np.real(np.trace(m @ m)))

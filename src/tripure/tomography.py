@@ -83,7 +83,8 @@ def normalize_grid(shape, spacings, raw_values) -> GridWavefunction:
 
 def grid_fidelity(g1: GridWavefunction, g2: GridWavefunction) -> float:
     """|<g1|g2>|^2 under the discrete L2 inner product."""
-    if g1.shape != g2.shape or g1.spacings != g2.spacings:
+    _instance("g1", g1, GridWavefunction)
+    if _instance("g2", g2, GridWavefunction).shape != g1.shape or g2.spacings != g1.spacings:
         raise ContractError("grids differ in shape or spacing")
     return float(abs(np.vdot(g1.values, g2.values) * g1.measure) ** 2)
 

@@ -169,3 +169,20 @@ def min_spectral_gap_reference(amplitudes, dims, rank_threshold):
         gaps.extend(-np.diff(vals))
         gaps.append(vals[-1])
     return float(min(gaps))
+
+
+def psd_refusal_cholesky(m, psd_tol=1e-9):
+    """The refusal message of the Cholesky-then-eigvalsh PSD rule for Hermitian ``m``, or None.
+
+    The rule accepts ``m`` when ``m + psd_tol * I`` has a Cholesky factor;
+    otherwise it refuses ``m`` when its smallest eigenvalue is below
+    ``-psd_tol``.  It is the rule ``DensityMatrix`` used before PSD could be
+    certified from a range sketch.
+    """
+    try:
+        np.linalg.cholesky(m + psd_tol * np.eye(m.shape[0]))
+    except np.linalg.LinAlgError:
+        lam_min = np.linalg.eigvalsh(m)[0]
+        if lam_min < -psd_tol:
+            return f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}"
+    return None

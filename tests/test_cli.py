@@ -624,3 +624,46 @@ def test_truth_of_other_dims_exit_2_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert not out.exists() and not report.exists()
     assert "--truth must be a pure_state file with dims (2, 3, 4)" in capsys.readouterr().err
+
+
+def string_data_file(path, kind):
+    """A one-entry file of ``kind`` whose data are numbers written as JSON strings."""
+    header = (
+        '"dims": [1, 1, 1]' if kind == "pure_state" else '"dims": [1], "subsystems": ["B"]'
+    )
+    data = '[["1e0", "0"]]' if kind == "pure_state" else '[[["1e0", "0"]]]'
+    path.write_text('{"kind": "%s", %s, "data": %s}' % (kind, header, data))
+    return path
+
+
+@pytest.mark.parametrize("which", ["ab", "bc"])
+def test_reconstruct_of_string_data_exit_2(tmp_path, capsys, which):
+    psi = sample_haar_state(Dims(1, 1, 1), 3)
+    files = dict(zip(("ab", "bc"), write_marginals(tmp_path, psi, "good")))
+    files[which] = string_data_file(tmp_path / "strings.json", "density_matrix")
+    out = tmp_path / "never.json"
+    code = main(
+        ["reconstruct", "--ab", str(files["ab"]), "--bc", str(files["bc"]), "--dims", "1,1,1",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: data must be numeric, got list\n"
+
+
+@pytest.mark.parametrize("flag", TOLERANCE_FLAGS)
+@pytest.mark.parametrize("value", ["-1e-8", "-1E+3", "-inf", "-0.5", "-2"])
+def test_negative_tolerance_gives_one_message_in_both_forms(tmp_path, capsys, flag, value):
+    """``--flag value`` reaches the contract check that ``--flag=value`` reaches."""
+    ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 9), "tol")
+    out = tmp_path / "never.json"
+    base = ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,2,2",
+            "--out", str(out)]
+    errors = []
+    for argv in (base + [f"--{flag}", value], base + [f"--{flag}={value}"]):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    name = flag.replace("-", "_")
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: {name} must be a positive finite real, got ")
+    assert not out.exists()

@@ -18,9 +18,12 @@ from tripure import (
     ReconstructionConfig,
     build_profile,
     eig_hermitian,
+    fidelity,
+    grid_fidelity,
     normalize_grid,
     partial_trace,
     planar_density,
+    purity,
     reconstruct_grid,
     reconstruct_tripartite,
     roundtrip,
@@ -83,6 +86,9 @@ ENTRY_POINTS = {
         {"edge_weights": EDGES, "edge_tol": 1e-7, "phase_tol": 1e-6,
          "tree_strategy": "max_weight"},
     ),
+    "fidelity": (fidelity, {"psi1": PSI, "psi2": PSI}),
+    "purity": (purity, {"rho": RHO_AB}),
+    "grid_fidelity": (grid_fidelity, {"g1": GRID, "g2": GRID}),
     "Dims": (Dims, {"d_a": 2, "d_b": 2, "d_c": 2}),
     "PureState": (PureState, {"dims": DIMS, "amplitudes": PSI.amplitudes}),
     "DensityMatrix": (
@@ -153,6 +159,9 @@ def test_junk_argument_is_refused_by_the_contract(entry, arg, value):
         (lambda: roundtrip(PSI, config={}), "config must be a ReconstructionConfig, got dict"),
         (lambda: planar_density(PSI, "XY"), "psi must be a GridWavefunction, got PureState"),
         (lambda: eig_hermitian(RHO_AB.matrix), "rho must be a DensityMatrix, got ndarray"),
+        (lambda: fidelity(PSI, None), "psi2 must be a PureState, got NoneType"),
+        (lambda: purity(RHO_AB.matrix), "rho must be a DensityMatrix, got ndarray"),
+        (lambda: grid_fidelity(None, GRID), "g1 must be a GridWavefunction, got NoneType"),
     ],
     ids=[
         "integer-negative", "integer-fraction", "integer-seed", "positive_real", "sequence",
@@ -160,6 +169,7 @@ def test_junk_argument_is_refused_by_the_contract(entry, arg, value):
         "array-shape", "array-finite", "choice-plane", "choice-profile", "choice-keep",
         "choice-subsystems", "choice-strategy",
         "instance-dims", "instance-rho_ab", "instance-config", "instance-psi", "instance-rho",
+        "instance-psi2", "instance-purity", "instance-g1",
     ],
 )
 def test_each_rule_names_its_argument(call, message):

@@ -106,6 +106,34 @@ class TestErrors:
             read_matrix_file(tmp_path / "absent.json")
 
 
+class TestStringData:
+    """Numbers written as JSON strings are refused, as they are in dims and spacings."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "pure_state", "dims": [1, 1, 1], "data": [["1e0", "0"]]},
+            {"kind": "pure_state", "dims": [1, 1, 2], "data": [["1", "0"], [0.0, 0.0]]},
+            {"kind": "density_matrix", "dims": [1], "subsystems": ["A"],
+             "data": [[["1e0", "0"]]]},
+            {"kind": "grid_wavefunction", "dims": [1, 1, 1], "spacings": [1, 1, 1],
+             "data": [["1", "0"]]},
+        ],
+        ids=["pure_state", "pure_state-one-entry", "density_matrix", "grid_wavefunction"],
+    )
+    def test_loads_refuses_string_numbers(self, doc):
+        numeric = json.loads(json.dumps(doc).replace('"1e0"', "1.0").replace('"1"', "1.0")
+                             .replace('"0"', "0.0"))
+        loads(json.dumps(numeric))  # loads with the numbers unquoted
+        with pytest.raises(ContractError, match="data must be numeric, got list"):
+            loads(json.dumps(doc))
+
+    def test_shape_message_is_kept(self):
+        doc = {"kind": "pure_state", "dims": [1, 1, 1], "data": [[1.0, 0.0, 0.0]]}
+        with pytest.raises(ContractError, match=r"data has shape \(1, 3\), expected \(n, 2\)"):
+            loads(json.dumps(doc))
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_loads_rejects_non_finite_tokens(self, token):

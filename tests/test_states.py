@@ -10,10 +10,11 @@ from tripure import (
     flat_index,
     partial_trace,
     purity,
+    reconstruct_tripartite,
 )
 
 from conftest import haar, state_from_entries
-from oracles import partial_trace_pure_loops
+from oracles import partial_trace_pure_loops, psd_refusal_cholesky
 
 
 class TestFlatIndex:
@@ -235,6 +236,81 @@ class TestBoundary:
         m = self.rotated([0.5, 0.3, 0.2 + 1e-11, -1e-11], 82)
         rho = DensityMatrix(("A",), (4,), m)
         np.testing.assert_array_equal(rho.matrix, m)
+
+
+def planted_matrix(n, rank, lam_min, seed):
+    """n x n Hermitian-up-to-rounding trace-one matrix on a random basis.
+
+    ``rank`` positive eigenvalues plus one planted smallest eigenvalue
+    ``lam_min``; ``rank = n - 1`` makes it full rank.
+    """
+    rng = np.random.default_rng(seed)
+    positive = rng.uniform(0.5, 1.5, rank)
+    vals = np.append(positive * (1.0 - lam_min) / positive.sum(), lam_min)
+    z = rng.standard_normal((n, rank + 1)) + 1j * rng.standard_normal((n, rank + 1))
+    q, _ = np.linalg.qr(z)
+    return (q * vals) @ q.conj().T
+
+
+class TestPsdCertificate:
+    """The sketch certificate decides every matrix as the Cholesky-then-eigvalsh rule does."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("lam_min", [-1e-8, -2e-9, -6e-10, -4e-10, -1e-11, 0.0])
+    @pytest.mark.parametrize("full_rank", [False, True], ids=["low-rank", "full-rank"])
+    def test_same_decision_as_cholesky_rule(self, n, lam_min, full_rank):
+        rank = n - 1 if full_rank else 4
+        m = planted_matrix(n, rank, lam_min, seed=n + rank)
+        symmetrized = (m + m.conj().T) / 2.0
+        refusal = psd_refusal_cholesky(symmetrized)
+        if refusal is None:
+            rho = DensityMatrix(("A",), (n,), m)
+            assert rho.matrix.tobytes() == symmetrized.tobytes()
+        else:
+            with pytest.raises(ContractError) as caught:
+                DensityMatrix(("A",), (n,), m)
+            assert type(caught.value) is ContractError
+            assert str(caught.value) == refusal
+        # Planted values above -PSD_TOL are accepted, those below refused.
+        assert (refusal is None) == (lam_min > -1e-9)
+
+
+def spy_calls(monkeypatch, name):
+    """Record the size of every ``numpy.linalg.<name>`` call; returns the list."""
+    sizes = []
+    real = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return sizes
+
+
+class TestPsdCertificateCost:
+    """Solver calls are counted, so these hold on any machine."""
+
+    def test_low_rank_marginal_needs_no_cholesky(self, monkeypatch):
+        m = partial_trace(haar(4, 32, 32, 91), ("B", "C")).matrix
+        cholesky = spy_calls(monkeypatch, "cholesky")
+        DensityMatrix(("B", "C"), (32, 32), m)
+        assert cholesky == []
+
+    def test_full_rank_matrix_needs_one_cholesky(self, monkeypatch):
+        m = planted_matrix(128, 127, 0.0, seed=92)
+        cholesky = spy_calls(monkeypatch, "cholesky")
+        DensityMatrix(("A",), (128,), m)
+        assert cholesky == [128]
+
+    def test_reconstruct_makes_five_eigh_and_no_eigvalsh(self, monkeypatch):
+        psi = haar(4, 32, 32, 93)
+        rho_ab = DensityMatrix(("A", "B"), (4, 32), partial_trace(psi, ("A", "B")).matrix)
+        rho_bc = DensityMatrix(("B", "C"), (32, 32), partial_trace(psi, ("B", "C")).matrix)
+        eigh = spy_calls(monkeypatch, "eigh")
+        eigvalsh = spy_calls(monkeypatch, "eigvalsh")
+        reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        assert len(eigh) == 5 and eigvalsh == []
 
 
 class TestMalformedSizes:
