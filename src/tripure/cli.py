@@ -222,18 +222,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _attach_tolerance_values(argv: list[str]) -> list[str]:
-    """``--flag value`` as ``--flag=value`` for each tolerance flag.
+    """``--flag value`` as ``--flag=value`` for a tolerance flag and a negative number.
 
     argparse takes a value such as ``-1e-8`` for an option, not a number, so
     the ``--flag value`` form would fail before the value reaches the
-    contract check that ``--flag=-1e-8`` gets.
+    contract check that ``--flag=-1e-8`` gets.  An abbreviated flag is joined
+    too and left for argparse to resolve; a following option is left alone,
+    so a missing value keeps argparse's message.
     """
-    flags = {f"--{name.replace('_', '-')}" for name in _TOLERANCE_FLAGS}
+    flags = [f"--{name.replace('_', '-')}" for name in _TOLERANCE_FLAGS]
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in flags and token.startswith("-"):
-            out[-1] = f"{out[-1]}={token}"
+        prev = out[-1] if out else ""
+        abbreviates = len(prev) > 2 and "=" not in prev and any(f.startswith(prev) for f in flags)
+        if abbreviates and token.startswith("-") and _is_number(token):
+            out[-1] = f"{prev}={token}"
         else:
             out.append(token)
     return out

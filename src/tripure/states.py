@@ -76,13 +76,14 @@ def _entries(name: str, values, check, length: int) -> tuple:
 def _array(name: str, value, shape: tuple | None = None, dtype=complex) -> np.ndarray:
     """``value`` as a finite ``dtype`` array, of ``shape`` when one is given.
 
-    Non-numeric content is refused by its type name, since a matrix repr can be huge.
+    Non-numeric content, booleans included, is refused by its type name,
+    since a matrix repr can be huge.
     """
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting
         arr = None
-    if arr is None or not np.can_cast(arr.dtype, dtype, "same_kind"):
+    if arr is None or arr.dtype == bool or not np.can_cast(arr.dtype, dtype, "same_kind"):
         raise ContractError(f"{name} must be numeric, got {type(value).__name__}")
     arr = arr.astype(dtype, copy=False)
     if shape is not None and arr.shape != shape:
@@ -127,22 +128,17 @@ def _psd_by_sketch(m: np.ndarray) -> bool:
     With sketched eigenpairs ``V, lam``, the matrix ``V diag(lam) V^dag`` has
     spectrum ``lam`` and zeros, so by Weyl's inequality ``lambda_min(m) >=
     min(lam_min, 0) - ||R||_F`` for the residual ``R = m - V diag(lam) V^dag``.
-    Tried with ``2 * SKETCH_OVERSAMPLE`` probes, doubled while the matrix is
-    ``SKETCH_MIN_RATIO`` times the probe count.  A sketched eigenvalue below
-    the bound ends the search: by interlacing, ``m`` has one at least as low.
+    One sketch of ``2 * SKETCH_OVERSAMPLE`` probes is tried, when the matrix
+    is ``SKETCH_MIN_RATIO`` times that size; it certifies matrices of rank
+    up to about the probe count.
     """
-    n = m.shape[0]
     k = 2 * SKETCH_OVERSAMPLE
-    while n >= SKETCH_MIN_RATIO * k:
-        vals, vecs = _range_sketch(m, k)
-        if vals[0] < -PSD_TOL / 2:
-            return False
-        residual = (vecs * vals) @ vecs.conj().T
-        residual -= m
-        if min(vals[0], 0.0) - np.linalg.norm(residual) >= -PSD_TOL / 2:
-            return True
-        k *= 2
-    return False
+    if m.shape[0] < SKETCH_MIN_RATIO * k:
+        return False
+    vals, vecs = _range_sketch(m, k)
+    residual = (vecs * vals) @ vecs.conj().T
+    residual -= m
+    return min(vals[0], 0.0) - np.linalg.norm(residual) >= -PSD_TOL / 2
 
 
 @dataclass(frozen=True)

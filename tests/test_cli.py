@@ -651,7 +651,10 @@ def test_reconstruct_of_string_data_exit_2(tmp_path, capsys, which):
     assert capsys.readouterr().err == "error: data must be numeric, got list\n"
 
 
-@pytest.mark.parametrize("flag", TOLERANCE_FLAGS)
+ABBREVIATED_FLAGS = {"pair": "pair-tol", "pha": "phase-tol", "rank-t": "rank-threshold"}
+
+
+@pytest.mark.parametrize("flag", TOLERANCE_FLAGS + list(ABBREVIATED_FLAGS))
 @pytest.mark.parametrize("value", ["-1e-8", "-1E+3", "-inf", "-0.5", "-2"])
 def test_negative_tolerance_gives_one_message_in_both_forms(tmp_path, capsys, flag, value):
     """``--flag value`` reaches the contract check that ``--flag=value`` reaches."""
@@ -663,7 +666,21 @@ def test_negative_tolerance_gives_one_message_in_both_forms(tmp_path, capsys, fl
     for argv in (base + [f"--{flag}", value], base + [f"--{flag}={value}"]):
         assert main(argv) == 2
         errors.append(capsys.readouterr().err)
-    name = flag.replace("-", "_")
+    name = ABBREVIATED_FLAGS.get(flag, flag).replace("-", "_")
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"error: {name} must be a positive finite real, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", TOLERANCE_FLAGS)
+def test_tolerance_flag_followed_by_an_option_misses_its_value(tmp_path, capsys, flag):
+    """A missing value keeps argparse's message rather than taking the next option."""
+    ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 9), "gap")
+    out = tmp_path / "never.json"
+    code = main(
+        ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,2,2",
+         "--out", str(out), f"--{flag}", "--report", str(tmp_path / "r.json")]
+    )
+    assert code == 2
+    assert f"argument --{flag}: expected one argument" in capsys.readouterr().err
     assert not out.exists()

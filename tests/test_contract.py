@@ -140,6 +140,8 @@ def test_junk_argument_is_refused_by_the_contract(entry, arg, value):
          r"shape must have 3 entries"),
         (lambda: DensityMatrix(("A", "B"), (4,), RHO_AB.matrix), "dims must have 2 entries"),
         (lambda: PureState(DIMS, [[1, "x"]]), "amplitudes must be numeric, got list"),
+        (lambda: PureState(DIMS, np.ones(8, dtype=bool)),
+         "amplitudes must be numeric, got ndarray"),
         (lambda: normalize_grid(SHAPE, GRID.spacings, [[1.0], [1.0, 2.0]]),
          "raw_values must be numeric, got list"),
         (lambda: solve_phases([1.0, 2.0]), "edge_weights must be a nonempty 2-d array"),
@@ -165,8 +167,9 @@ def test_junk_argument_is_refused_by_the_contract(entry, arg, value):
     ],
     ids=[
         "integer-negative", "integer-fraction", "integer-seed", "positive_real", "sequence",
-        "entries-shape", "entries-dims", "array-mixed", "array-ragged", "array-ndim",
-        "array-shape", "array-finite", "choice-plane", "choice-profile", "choice-keep",
+        "entries-shape", "entries-dims", "array-mixed", "array-bool", "array-ragged",
+        "array-ndim", "array-shape", "array-finite", "choice-plane", "choice-profile",
+        "choice-keep",
         "choice-subsystems", "choice-strategy",
         "instance-dims", "instance-rho_ab", "instance-config", "instance-psi", "instance-rho",
         "instance-psi2", "instance-purity", "instance-g1",

@@ -107,7 +107,7 @@ class TestErrors:
 
 
 class TestStringData:
-    """Numbers written as JSON strings are refused, as they are in dims and spacings."""
+    """Numbers written as JSON strings or booleans are refused, as in dims and spacings."""
 
     @pytest.mark.parametrize(
         "doc",
@@ -118,12 +118,17 @@ class TestStringData:
              "data": [[["1e0", "0"]]]},
             {"kind": "grid_wavefunction", "dims": [1, 1, 1], "spacings": [1, 1, 1],
              "data": [["1", "0"]]},
+            {"kind": "pure_state", "dims": [1, 1, 1], "data": [[True, False]]},
+            {"kind": "density_matrix", "dims": [1], "subsystems": ["A"],
+             "data": [[[True, False]]]},
         ],
-        ids=["pure_state", "pure_state-one-entry", "density_matrix", "grid_wavefunction"],
+        ids=["pure_state", "pure_state-one-entry", "density_matrix", "grid_wavefunction",
+             "pure_state-bool", "density_matrix-bool"],
     )
     def test_loads_refuses_string_numbers(self, doc):
         numeric = json.loads(json.dumps(doc).replace('"1e0"', "1.0").replace('"1"', "1.0")
-                             .replace('"0"', "0.0"))
+                             .replace('"0"', "0.0").replace("true", "1.0")
+                             .replace("false", "0.0"))
         loads(json.dumps(numeric))  # loads with the numbers unquoted
         with pytest.raises(ContractError, match="data must be numeric, got list"):
             loads(json.dumps(doc))
