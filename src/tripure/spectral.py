@@ -48,16 +48,22 @@ class SpectrumPairing:
 
 
 def _truncate(
-    m: np.ndarray, vals: np.ndarray, vecs: np.ndarray, rank_threshold: float
+    vals: np.ndarray, vecs: np.ndarray, residual: float, rank_threshold: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenpairs above threshold, descending, and the Frobenius residual they leave."""
+    """Eigenpairs above threshold, descending, and a bound on the Frobenius residual they leave.
+
+    ``vals, vecs`` (ascending) decompose the matrix up to a Frobenius
+    ``residual``: the sketch's on the sketch path, 0 after a dense ``eigh``
+    (up to its backward error).  Dropping eigenpairs adds the 2-norm of
+    their eigenvalues, so by the triangle inequality the truncated residual
+    is at most ``residual + ||discarded||_2``; no n x n product is formed.
+    """
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     mask = vals > rank_threshold
     kept_vals = np.ascontiguousarray(vals[mask])
     kept_vecs = np.ascontiguousarray(vecs[:, mask])
-    residual = float(np.linalg.norm(m - (kept_vecs * kept_vals) @ kept_vecs.conj().T))
-    return kept_vals, kept_vecs, residual
+    return kept_vals, kept_vecs, residual + float(np.linalg.norm(vals[~mask]))
 
 
 def eig_hermitian(
@@ -66,34 +72,42 @@ def eig_hermitian(
     """Diagonalize ``rho`` and keep eigenpairs with eigenvalue above threshold.
 
     Eigenvalues are returned in descending order with orthonormal column
-    eigenvectors.  The discarded tail must carry negligible weight: the
-    Frobenius residual of the truncated reconstruction and the deficit of
-    the retained eigenvalue sum are both checked against ``RANK_LEAK_TOL``.
+    eigenvectors.  The discarded tail must carry negligible weight: a bound
+    on the Frobenius residual of the truncated reconstruction
+    (``_truncate``) and the deficit of the retained eigenvalue sum are both
+    checked against ``RANK_LEAK_TOL``.
 
     ``rank_bound`` is the rank the caller expects, such as the rank of the
     complementary marginal.  When the matrix is large next to it, a range
-    sketch of ``rank_bound + SKETCH_OVERSAMPLE`` columns is tried first.
-    The sketch is accepted only if its residual ``R`` is at most
-    ``rank_threshold`` (and ``RANK_LEAK_TOL``): by Weyl's inequality every
-    eigenvalue it missed is at most ``||R||_2 <= ||R||_F``, so it keeps
-    what a full solve keeps.
+    sketch of ``max(rank_bound + SKETCH_OVERSAMPLE, 2 * SKETCH_OVERSAMPLE)``
+    columns is tried first; that is the probe count of the validation
+    sketch, so the sketch that certified ``rho`` positive semidefinite is
+    reused when it has that many columns, and a derived matrix with the same
+    bits gets the same eigenpairs.  The sketch is accepted only if the bound
+    on its truncated residual ``R`` is at most ``rank_threshold`` (and
+    ``RANK_LEAK_TOL``): by Weyl's inequality every eigenvalue it missed is
+    at most ``||R||_2 <= ||R||_F``, so it keeps what a full solve keeps.
     Otherwise the full dense solve runs as if no bound were given.
     """
     m = _instance("rho", rho, DensityMatrix).matrix
     if _positive_real("rank_threshold", rank_threshold) >= 1.0:
         raise ContractError(f"rank_threshold must lie in (0, 1), got {rank_threshold!r}")
     kept_vals = kept_vecs = None
-    k = None if rank_bound is None else _integer("rank_bound", rank_bound) + SKETCH_OVERSAMPLE
-    if k is not None and m.shape[0] >= SKETCH_MIN_RATIO * k:
-        vals, vecs, residual = _truncate(m, *_range_sketch(m, k), rank_threshold)
-        if residual <= min(rank_threshold, RANK_LEAK_TOL):
-            kept_vals, kept_vecs = vals, vecs
+    if rank_bound is not None:
+        k = max(_integer("rank_bound", rank_bound) + SKETCH_OVERSAMPLE, 2 * SKETCH_OVERSAMPLE)
+        if m.shape[0] >= SKETCH_MIN_RATIO * k:
+            sketch = rho._sketch
+            if sketch is None or len(sketch[0]) != k:
+                sketch = _range_sketch(m, k)
+            vals, vecs, residual = _truncate(*sketch, rank_threshold)
+            if residual <= min(rank_threshold, RANK_LEAK_TOL):
+                kept_vals, kept_vecs = vals, vecs
     if kept_vals is None:
         try:
             vals, vecs = np.linalg.eigh(m)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-        kept_vals, kept_vecs, residual = _truncate(m, vals, vecs, rank_threshold)
+        kept_vals, kept_vecs, residual = _truncate(vals, vecs, 0.0, rank_threshold)
         if residual > RANK_LEAK_TOL:
             raise NumericalError(
                 f"rank truncation at {rank_threshold:.1e} discards too much: "

@@ -107,23 +107,27 @@ def _instance(name: str, value, cls: type):
     return value
 
 
-def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Top eigenpairs of ``m`` restricted to the range of ``m`` times k probe vectors.
 
     Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53:217,
     2011) with fixed-seed complex Gaussian probes, so reruns are identical.
-    Returns k eigenpairs in ascending order, as ``numpy.linalg.eigh`` does.
+    Returns k eigenpairs in ascending order, as ``numpy.linalg.eigh`` does,
+    and the Frobenius norm of the residual ``m - V diag(lam) V^dag``.
     """
     rng = np.random.default_rng(SKETCH_SEED)
     probes = rng.standard_normal((m.shape[0], k)) + 1j * rng.standard_normal((m.shape[0], k))
     q, _ = np.linalg.qr(m @ probes)
     small = q.conj().T @ m @ q
     vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
-    return vals, q @ vecs
+    vecs = q @ vecs
+    residual = (vecs * vals) @ vecs.conj().T
+    residual -= m
+    return vals, vecs, float(np.linalg.norm(residual))
 
 
-def _psd_by_sketch(m: np.ndarray) -> bool:
-    """Whether a range sketch certifies that every eigenvalue of ``m`` is >= -PSD_TOL / 2.
+def _psd_by_sketch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The range sketch that certifies every eigenvalue of ``m`` is >= -PSD_TOL / 2, or None.
 
     With sketched eigenpairs ``V, lam``, the matrix ``V diag(lam) V^dag`` has
     spectrum ``lam`` and zeros, so by Weyl's inequality ``lambda_min(m) >=
@@ -134,11 +138,10 @@ def _psd_by_sketch(m: np.ndarray) -> bool:
     """
     k = 2 * SKETCH_OVERSAMPLE
     if m.shape[0] < SKETCH_MIN_RATIO * k:
-        return False
-    vals, vecs = _range_sketch(m, k)
-    residual = (vecs * vals) @ vecs.conj().T
-    residual -= m
-    return min(vals[0], 0.0) - np.linalg.norm(residual) >= -PSD_TOL / 2
+        return None
+    sketch = _range_sketch(m, k)
+    vals, _, residual = sketch
+    return sketch if min(vals[0], 0.0) - residual >= -PSD_TOL / 2 else None
 
 
 @dataclass(frozen=True)
@@ -205,11 +208,18 @@ class DensityMatrix:
     accepted from a Cholesky factorization of ``M + PSD_TOL * I``; only when
     that fails is the smallest eigenvalue computed and compared with
     ``-PSD_TOL``.
+
+    The stored matrix is read-only.  A certifying sketch is kept, eigenpairs
+    and residual norm, in the private ``_sketch`` attribute, which takes no
+    part in comparison or repr; ``spectral.eig_hermitian`` reuses it instead
+    of sketching the same matrix again.
     """
 
     subsystems: tuple[str, ...]
     dims: tuple[int, ...]
     matrix: np.ndarray
+    # Not a field: set by __post_init__ when a sketch certified the matrix.
+    _sketch = None
 
     def __post_init__(self):
         subs = _sequence("subsystems", self.subsystems)
@@ -232,7 +242,8 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ContractError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
-        if not _psd_by_sketch(m):
+        sketch = _psd_by_sketch(m)
+        if sketch is None:
             try:
                 np.linalg.cholesky(m + PSD_TOL * np.eye(n))
             except np.linalg.LinAlgError:
@@ -241,9 +252,11 @@ class DensityMatrix:
                     raise ContractError(
                         f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}"
                     ) from None
+        m.flags.writeable = False
         object.__setattr__(self, "subsystems", subs)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_sketch", sketch)
 
     @classmethod
     def _derived(cls, subsystems: tuple[str, ...], dims: tuple[int, ...], m: np.ndarray):
@@ -258,6 +271,7 @@ class DensityMatrix:
         mh = np.conjugate(m.T, order="C")
         mh += m
         mh /= 2.0
+        mh.flags.writeable = False
         object.__setattr__(rho, "matrix", mh)
         return rho
 

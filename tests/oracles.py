@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here works by explicit scalar loops and flat-index arithmetic so
-that it shares no code path with the package implementation it checks.
+Everything here works by explicit scalar loops and flat-index arithmetic,
+or by a dense einsum the package no longer uses, so that it shares no code
+path with the package implementation it checks.
 """
 
 import numpy as np
@@ -90,6 +91,36 @@ def ab_overlaps_loops(ab_vectors, a_vectors, b_vectors, d_a, d_b):
                         )
                 out[k, i, j] = acc
     return out
+
+
+def coefficient_tensors_einsum(spec_bc, spec_ab, spec_a, spec_b, spec_c, dims):
+    """(bc_overlaps, ab_overlaps) by the three-operand einsum, without the leak check.
+
+    This is the contraction ``coefficient_tensors`` used before it formed
+    the overlaps by batched matmul.
+    """
+    d_a, d_b, d_c = dims
+    w_bc = spec_bc.eigenvectors.T.reshape(spec_bc.rank, d_b, d_c)
+    bc = np.einsum("bj,ibc,ck->ijk", spec_b.eigenvectors.conj(), w_bc, spec_c.eigenvectors.conj())
+    w_ab = spec_ab.eigenvectors.T.reshape(spec_ab.rank, d_a, d_b)
+    ab = np.einsum("ai,kab,bj->kij", spec_a.eigenvectors.conj(), w_ab, spec_b.eigenvectors.conj())
+    return bc, ab
+
+
+def symmetrized_marginal_residual(amplitudes, dims, keep_labels, rho_matrix):
+    """||(P + P^dag) / 2 - rho||_F for the marginal P of a pure state on ``keep_labels``.
+
+    ``keep_labels`` is "AB" or "BC".  This is how the reconstruction scored
+    its output before it scored the unsymmetrized marginal.
+    """
+    t = np.asarray(amplitudes).reshape(dims)
+    if keep_labels == "AB":
+        p = np.einsum("abc,dec->abde", t, t.conj())
+    else:
+        p = np.einsum("abc,ade->bcde", t, t.conj())
+    n = rho_matrix.shape[0]
+    p = p.reshape(n, n)
+    return float(np.linalg.norm((p + p.conj().T) / 2.0 - rho_matrix))
 
 
 def phase_edges_loops(bc_overlaps, ab_overlaps):

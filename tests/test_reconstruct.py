@@ -32,10 +32,18 @@ from tripure import (
     sample_haar_state,
     solve_phases,
 )
+from tripure.reconstruct import _marginal_residual
 from tripure.spectral import SpectralDecomposition, SpectrumPairing
 
 from conftest import haar, marginal_pair, planted_state
-from oracles import ab_overlaps_loops, bc_overlaps_loops, haar_unitary, phase_edges_loops
+from oracles import (
+    ab_overlaps_loops,
+    bc_overlaps_loops,
+    coefficient_tensors_einsum,
+    haar_unitary,
+    phase_edges_loops,
+    symmetrized_marginal_residual,
+)
 
 DEFAULTS = ReconstructionConfig()
 
@@ -493,6 +501,39 @@ class TestSymmetryProperties:
         psi = sample_haar_state(Dims(d_a, 1, d_c), seed)
         with pytest.raises(PhaseGraphDisconnected):
             reconstruct_tripartite(*marginal_pair(psi), psi.dims)
+
+
+class TestContractionOracles:
+    """Matmul overlaps and one-GEMM residuals against the einsum and symmetrized forms."""
+
+    @settings(max_examples=40)
+    @given(
+        d_a=st.integers(1, 4), d_b=st.integers(1, 6), d_c=st.integers(1, 5), seed=SEEDS
+    )
+    def test_overlaps_and_residuals(self, d_a, d_b, d_c, seed):
+        dims = (d_a, d_b, d_c)
+        psi = sample_haar_state(Dims(*dims), seed)
+        coeffs, s = tensors_of(psi)
+        bc, ab = coefficient_tensors_einsum(s["bc"], s["ab"], s["a"], s["b"], s["c"], dims)
+        assert np.abs(coeffs.bc_overlaps - bc).max() <= 1e-13
+        assert np.abs(coeffs.ab_overlaps - ab).max() <= 1e-13
+
+        rho_ab, rho_bc = marginal_pair(psi)
+        other = sample_haar_state(Dims(*dims), seed + 1)
+        checks = [(_marginal_residual(other, rho), other, rho) for rho in (rho_ab, rho_bc)]
+        try:
+            rep = reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        except PhaseGraphDisconnected:
+            assert d_b == 1
+        else:
+            checks += [
+                (rep.marginal_residual_ab, rep.state, rho_ab),
+                (rep.marginal_residual_bc, rep.state, rho_bc),
+            ]
+        for reported, state, rho in checks:
+            keep = "".join(rho.subsystems)
+            sym = symmetrized_marginal_residual(state.amplitudes, dims, keep, rho.matrix)
+            assert sym - 1e-15 <= reported <= sym + 1e-14
 
 
 @pytest.mark.parametrize(

@@ -219,6 +219,20 @@ class TestLowRankSketch:
         np.testing.assert_array_equal(sketched.eigenvalues, full.eigenvalues)
         np.testing.assert_array_equal(sketched.eigenvectors, full.eigenvectors)
 
+    def test_small_tail_beyond_stored_sketch_falls_back(self, monkeypatch):
+        # 30 tail eigenvalues of 5e-11 are small enough for the validation
+        # sketch to certify PSD, and it is stored, but too large for its
+        # residual plus the discarded tail to stay below the rank threshold.
+        rho = density_with_spectrum([0.4, 0.3, 0.2, 0.1 - 30 * 5e-11] + [5e-11] * 30, 256, 77)
+        assert rho._sketch is not None
+        full = eig_hermitian(rho)
+        sizes = spy_eigh(monkeypatch)
+        sketched = eig_hermitian(rho, rank_bound=4)
+        assert sizes == [256]
+        assert sketched.rank == full.rank == 4
+        np.testing.assert_array_equal(sketched.eigenvalues, full.eigenvalues)
+        np.testing.assert_array_equal(sketched.eigenvectors, full.eigenvectors)
+
     def test_small_matrix_never_sketches(self, monkeypatch):
         rho = partial_trace(haar(4, 4, 4, 75), ("B", "C"))
         full = eig_hermitian(rho)
@@ -244,3 +258,45 @@ class TestLowRankSketch:
         rho_bc = DensityMatrix(("B", "C"), dims[1:], bc)
         with pytest.raises(SpectrumMismatch, match="retained ranks differ: 4 vs 8"):
             reconstruct_tripartite(rho_ab, rho_bc, Dims(*dims))
+
+
+class TestSketchReuse:
+    """A validated matrix and a derived copy of its bits get the same eigenpairs."""
+
+    @pytest.mark.parametrize(
+        "dims,keep,bound",
+        [
+            ((4, 32, 32), ("B", "C"), None),
+            ((8, 64, 8), ("A", "B"), None),
+            ((8, 64, 8), ("B", "C"), None),
+            ((4, 32, 32), ("B", "C"), 12),
+        ],
+        ids=["lopsided-bc", "cli-ab", "cli-bc", "no-stored-sketch-fits"],
+    )
+    def test_reuse_equals_recomputation(self, dims, keep, bound):
+        # A bound of 12 asks for 20 probes; the stored sketch has 16.
+        psi = haar(*dims, 78)
+        rank = eig_hermitian(partial_trace(psi, tuple(s for s in "ABC" if s not in keep))).rank
+        sizes = dict(zip("ABC", dims))
+        rho = DensityMatrix(keep, tuple(sizes[s] for s in keep), partial_trace(psi, keep).matrix)
+        copy = DensityMatrix._derived(rho.subsystems, rho.dims, rho.matrix)
+        assert copy.matrix.tobytes() == rho.matrix.tobytes()
+        assert rho._sketch is not None and copy._sketch is None
+        bound = rank if bound is None else bound
+        ours, theirs = eig_hermitian(rho, rank_bound=bound), eig_hermitian(copy, rank_bound=bound)
+        assert ours.rank == rank
+        assert ours.eigenvalues.tobytes() == theirs.eigenvalues.tobytes()
+        assert ours.eigenvectors.tobytes() == theirs.eigenvectors.tobytes()
+
+
+class TestTruncationRefusal:
+    def test_dense_path_discarding_too_much_is_refused(self):
+        # Tail eigenvalues 3e-4 and 4e-4 lie below the threshold: their
+        # 2-norm, 5e-4, is the residual the truncation leaves.
+        rho = density_with_spectrum([0.5, 0.3, 0.2 - 7e-4, 3e-4, 4e-4], 6, 79)
+        with pytest.raises(NumericalError) as caught:
+            eig_hermitian(rho, rank_threshold=1e-3)
+        assert type(caught.value) is NumericalError
+        assert str(caught.value) == (
+            "rank truncation at 1.0e-03 discards too much: Frobenius residual 5.000e-04"
+        )

@@ -12,6 +12,7 @@ from tripure import (
     purity,
     reconstruct_tripartite,
 )
+from tripure import spectral, states
 
 from conftest import haar, state_from_entries
 from oracles import partial_trace_pure_loops, psd_refusal_cholesky
@@ -303,14 +304,48 @@ class TestPsdCertificateCost:
         DensityMatrix(("A",), (128,), m)
         assert cholesky == [128]
 
-    def test_reconstruct_makes_five_eigh_and_no_eigvalsh(self, monkeypatch):
+    def test_reconstruct_makes_four_eigh_and_no_eigvalsh(self, monkeypatch):
+        # rho_A, rho_B, rho_C and the 128x128 rho_AB; the 1024x1024 rho_BC
+        # reuses the sketch that validated it.
         psi = haar(4, 32, 32, 93)
         rho_ab = DensityMatrix(("A", "B"), (4, 32), partial_trace(psi, ("A", "B")).matrix)
         rho_bc = DensityMatrix(("B", "C"), (32, 32), partial_trace(psi, ("B", "C")).matrix)
         eigh = spy_calls(monkeypatch, "eigh")
         eigvalsh = spy_calls(monkeypatch, "eigvalsh")
         reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
-        assert len(eigh) == 5 and eigvalsh == []
+        assert len(eigh) == 4 and eigvalsh == []
+
+    @pytest.mark.parametrize("dims", [(4, 32, 32), (8, 64, 8)])
+    def test_each_large_input_is_sketched_once(self, monkeypatch, dims):
+        sizes = []
+        real = states._range_sketch
+
+        def spy(m, k):
+            sizes.append(m.shape[0])
+            return real(m, k)
+
+        monkeypatch.setattr(states, "_range_sketch", spy)
+        monkeypatch.setattr(spectral, "_range_sketch", spy)
+        psi = haar(*dims, 94)
+        d_a, d_b, d_c = dims
+        rho_ab = DensityMatrix(("A", "B"), (d_a, d_b), partial_trace(psi, ("A", "B")).matrix)
+        rho_bc = DensityMatrix(("B", "C"), (d_b, d_c), partial_trace(psi, ("B", "C")).matrix)
+        assert sizes == [d_a * d_b, d_b * d_c]
+        reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        assert sizes == [d_a * d_b, d_b * d_c]
+
+
+class TestReadOnlyMatrix:
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (4, 32, 32)], ids=["small", "sketched"])
+    def test_matrix_is_read_only_and_input_untouched(self, dims):
+        m = partial_trace(haar(*dims, 95), ("B", "C")).matrix.copy()
+        before = m.copy()
+        rho = DensityMatrix(("B", "C"), dims[1:], m)
+        assert (rho._sketch is not None) == (m.shape[0] >= 128)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+        np.testing.assert_array_equal(m, before)
+        assert m.flags.writeable
 
 
 class TestMalformedSizes:
