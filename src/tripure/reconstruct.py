@@ -40,6 +40,7 @@ from .states import (
     _choice,
     _instance,
     _positive_real,
+    _residual_norm,
     partial_trace,
 )
 
@@ -330,20 +331,20 @@ def compatibility_residual(
 def _marginal_residual(state: PureState, rho: DensityMatrix) -> float:
     """Frobenius distance ``||P - rho||`` of the state's marginal ``P`` on rho's subsystems.
 
-    ``P`` is one GEMM of the reshaped amplitudes and is not symmetrized.
-    Since ``rho`` is exactly Hermitian, ``(P + P^dag) / 2 - rho`` is the
-    Hermitian part of ``P - rho``, so this bounds the symmetrized residual
-    from above.
+    ``P = t t^dag`` for the amplitudes reshaped to a (rho's dim) x (rest)
+    matrix ``t``; it is not symmetrized.  Since ``rho`` is exactly
+    Hermitian, ``(P + P^dag) / 2 - rho`` is the Hermitian part of
+    ``P - rho``, so this bounds the symmetrized residual from above.  The
+    residual is formed one row block at a time and its squares summed
+    (``states._residual_norm``), so it is not bitwise ``np.linalg.norm``;
+    it is only compared with tolerances.
     """
     d_a, d_b, d_c = state.dims.as_tuple()
     if rho.subsystems == ("A", "B"):
         t = state.amplitudes.reshape(d_a * d_b, d_c)
-        p = t @ t.conj().T
     else:
-        t = state.amplitudes.reshape(d_a, d_b * d_c)
-        p = t.T @ t.conj()
-    p -= rho.matrix
-    return float(np.linalg.norm(p))
+        t = state.amplitudes.reshape(d_a, d_b * d_c).T
+    return _residual_norm(t, t.conj().T, rho.matrix)
 
 
 def _check_input(name: str, rho, subsystems: tuple[str, str], dims: Dims) -> None:

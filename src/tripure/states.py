@@ -8,6 +8,7 @@ The same convention orders the rows and columns of every density matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ PSD_TOL = 1e-9
 SKETCH_OVERSAMPLE = 8
 SKETCH_MIN_RATIO = 8
 SKETCH_SEED = 403200
+
+# Complex entries per row block of the n x n passes (1 MiB), so validation
+# and residuals hold no full-size temporary.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _integer(name: str, value, least: int = 1) -> int:
@@ -107,13 +112,39 @@ def _instance(name: str, value, cls: type):
     return value
 
 
+def _row_blocks(n: int):
+    """Slices of consecutive rows of an n x n matrix, at most ``_BLOCK_ENTRIES`` entries each.
+
+    A block holds at least one row, and a small matrix is one block.
+    """
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def _residual_norm(left: np.ndarray, right: np.ndarray, m: np.ndarray) -> float:
+    """Frobenius norm of ``left @ right - m``, formed one row block at a time.
+
+    The squares are summed block by block, so the result is not bitwise
+    ``np.linalg.norm`` of the full residual; it is only compared with
+    tolerances.
+    """
+    sq = 0.0
+    for rows in _row_blocks(m.shape[0]):
+        r = left[rows] @ right
+        r -= m[rows]
+        sq += np.vdot(r, r).real
+    return math.sqrt(sq)
+
+
 def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Top eigenpairs of ``m`` restricted to the range of ``m`` times k probe vectors.
 
     Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53:217,
     2011) with fixed-seed complex Gaussian probes, so reruns are identical.
     Returns k eigenpairs in ascending order, as ``numpy.linalg.eigh`` does,
-    and the Frobenius norm of the residual ``m - V diag(lam) V^dag``.
+    and the Frobenius norm of the residual ``m - V diag(lam) V^dag``, a
+    blocked sum of squares (``_residual_norm``) that forms no n x n array.
     """
     rng = np.random.default_rng(SKETCH_SEED)
     probes = rng.standard_normal((m.shape[0], k)) + 1j * rng.standard_normal((m.shape[0], k))
@@ -121,9 +152,7 @@ def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]
     small = q.conj().T @ m @ q
     vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
     vecs = q @ vecs
-    residual = (vecs * vals) @ vecs.conj().T
-    residual -= m
-    return vals, vecs, float(np.linalg.norm(residual))
+    return vals, vecs, _residual_norm(vecs * vals, vecs.conj().T, m)
 
 
 def _psd_by_sketch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
@@ -205,9 +234,15 @@ class DensityMatrix:
     Positive semidefiniteness is accepted first from a range sketch whose
     residual certifies ``lambda_min >= -PSD_TOL / 2`` (``_psd_by_sketch``),
     which settles a large low-rank matrix in O(n^2 k).  Otherwise it is
-    accepted from a Cholesky factorization of ``M + PSD_TOL * I``; only when
-    that fails is the smallest eigenvalue computed and compared with
-    ``-PSD_TOL``.
+    accepted from a Cholesky factorization of ``M + PSD_TOL * I``, one copy
+    of the matrix with its diagonal shifted; only when that fails is the
+    smallest eigenvalue computed and compared with ``-PSD_TOL``.
+
+    The symmetrization, the Hermitian check and the sketch residual run
+    over row blocks (``_row_blocks``), so apart from the Cholesky copy no
+    n x n temporary is held beyond the stored matrix.  The residual is a
+    blocked sum of squares, not bitwise ``np.linalg.norm``; it is only
+    compared with tolerances.
 
     The stored matrix is read-only.  A certifying sketch is kept, eigenpairs
     and residual norm, in the private ``_sketch`` attribute, which takes no
@@ -230,22 +265,27 @@ class DensityMatrix:
                 f"subsystems must be an ordered subset of {SUBSYSTEM_LABELS}, got {subs!r}"
             )
         dims = _entries("dims", self.dims, _integer, len(subs))
-        n = int(np.prod(dims))
-        m = _array("matrix", self.matrix, (n, n))
-        mh = np.conjugate(m.T, order="C")
-        herm_gap = np.abs(m - mh).max()
+        n = math.prod(dims)
+        given = _array("matrix", self.matrix, (n, n))
+        m = np.empty((n, n), dtype=complex)
+        herm_gap = 0.0
+        for rows in _row_blocks(n):
+            block = m[rows]
+            np.conjugate(given[:, rows].T, out=block)
+            herm_gap = max(herm_gap, np.abs(given[rows] - block).max())
+            block += given[rows]
+            block /= 2.0
         if herm_gap > HERM_TOL:
             raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {herm_gap:.3e}")
-        mh += m
-        mh /= 2.0
-        m = mh
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ContractError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
         sketch = _psd_by_sketch(m)
         if sketch is None:
+            shifted = m.copy()
+            shifted.flat[:: n + 1] += PSD_TOL
             try:
-                np.linalg.cholesky(m + PSD_TOL * np.eye(n))
+                np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 lam_min = np.linalg.eigvalsh(m)[0]
                 if lam_min < -PSD_TOL:
@@ -277,7 +317,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 def _canonical_keep(keep, available: tuple[str, ...]) -> tuple[str, ...]:
@@ -337,7 +377,7 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
         kept_dims = tuple(state.dims[available.index(s)] for s in kept)
     else:
         raise ContractError(f"cannot take a partial trace of {type(state).__name__}")
-    n = int(np.prod(kept_dims))
+    n = math.prod(kept_dims)
     return DensityMatrix._derived(kept, kept_dims, reduced.reshape(n, n))
 
 

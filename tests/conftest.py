@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +81,22 @@ def marginal_pair(psi):
 
 def haar(d_a, d_b, d_c, seed):
     return sample_haar_state(Dims(d_a, d_b, d_c), seed)
+
+
+def peak_bytes(fn):
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs, above what was live before.
+
+    What ``fn`` returns counts too.  Byte counts do not depend on the
+    machine, unlike timings.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

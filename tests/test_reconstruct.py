@@ -536,6 +536,28 @@ class TestContractionOracles:
             assert sym - 1e-15 <= reported <= sym + 1e-14
 
 
+class TestBlockedMarginalResidual:
+    """The residual summed over row blocks agrees with the norm of the full residual."""
+
+    # (8, 125, 3) and (3, 8, 125) give a 1000 x 1000 rho_AB and rho_BC, no
+    # multiple of the block rows; (2, 1, 2) gives 2 x 2 marginals.
+    @pytest.mark.parametrize("dims", [(8, 125, 3), (3, 8, 125), (2, 1, 2)])
+    def test_matches_full_norm(self, dims):
+        d_a, d_b, d_c = dims
+        psi = sample_haar_state(Dims(*dims), 98)
+        other = sample_haar_state(Dims(*dims), 99)
+        for state in (psi, other):
+            t_ab = state.amplitudes.reshape(d_a * d_b, d_c)
+            t_a = state.amplitudes.reshape(d_a, d_b * d_c)
+            full_ab = t_ab @ t_ab.conj().T
+            full_bc = t_a.T @ t_a.conj()
+            for rho, full in zip(marginal_pair(psi), (full_ab, full_bc)):
+                full -= rho.matrix
+                expected = np.linalg.norm(full)
+                residual = _marginal_residual(state, rho)
+                assert abs(residual - expected) <= max(1e-12 * expected, 1e-18)
+
+
 @pytest.mark.parametrize(
     "func, parameter",
     [

@@ -14,6 +14,7 @@ from tripure import (
     partial_trace,
     reconstruct_tripartite,
 )
+from tripure import states
 from tripure.spectral import RANK_LEAK_TOL, SpectralDecomposition
 
 from conftest import haar
@@ -258,6 +259,23 @@ class TestLowRankSketch:
         rho_bc = DensityMatrix(("B", "C"), dims[1:], bc)
         with pytest.raises(SpectrumMismatch, match="retained ranks differ: 4 vs 8"):
             reconstruct_tripartite(rho_ab, rho_bc, Dims(*dims))
+
+
+class TestBlockedSketchResidual:
+    """The residual summed over row blocks agrees with the norm of the full residual."""
+
+    @pytest.mark.parametrize(
+        "n,rank,k",
+        [(2, 1, 2), (1000, 4, 16), (1000, 40, 16)],
+        ids=["2x2", "certified", "too-few-probes"],
+    )
+    def test_matches_full_norm(self, n, rank, k):
+        m = density_with_spectrum(np.linspace(1.0, 2.0, rank), n, seed=n + rank).matrix
+        vals, vecs, residual = states._range_sketch(m, k)
+        full = (vecs * vals) @ vecs.conj().T
+        full -= m
+        expected = np.linalg.norm(full)
+        assert abs(residual - expected) <= max(1e-12 * expected, 1e-18)
 
 
 class TestSketchReuse:

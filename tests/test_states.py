@@ -14,7 +14,7 @@ from tripure import (
 )
 from tripure import spectral, states
 
-from conftest import haar, state_from_entries
+from conftest import haar, peak_bytes, state_from_entries
 from oracles import partial_trace_pure_loops, psd_refusal_cholesky
 
 
@@ -346,6 +346,80 @@ class TestReadOnlyMatrix:
             rho.matrix[0, 0] = 0.0
         np.testing.assert_array_equal(m, before)
         assert m.flags.writeable
+
+
+def zero_rowed_matrix(n, zero_rows, seed):
+    """Rank-2 n x n trace-one matrix, Hermitian up to rounding, with planted signed zeros.
+
+    Rows and columns ``zero_rows`` are exactly zero, written as ``-0.0`` real
+    and imaginary parts in the rows and ``-0.0 + 0.0j`` in the columns.
+    """
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    t[zero_rows] = 0.0
+    m = t @ t.conj().T
+    m /= m.trace().real
+    m[:, zero_rows] = complex(-0.0, 0.0)
+    m[zero_rows, :] = complex(-0.0, -0.0)
+    return m
+
+
+class TestRowBlocks:
+    """Validation streams over row blocks; n = 1000 is no multiple of the block rows."""
+
+    CASES = [(("A",), (2,), [1]), (("A", "B"), (8, 125), [0, 517, 998, 999])]
+    IDS = ["2x2", "1000x1000"]
+
+    def test_sizes_end_in_a_ragged_block(self):
+        blocks = list(states._row_blocks(1000))
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == 1000
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0]
+        assert [(b.start, b.stop) for b in states._row_blocks(2)] == [(0, 2)]
+
+    @pytest.mark.parametrize("subs,dims,zero_rows", CASES, ids=IDS)
+    def test_stored_bytes_equal_full_symmetrization(self, subs, dims, zero_rows):
+        n = int(np.prod(dims))
+        m = zero_rowed_matrix(n, zero_rows, seed=n)
+        m[0, -1] += 1e-13j  # a rounding-size asymmetry to symmetrize away
+        rho = DensityMatrix(subs, dims, m)
+        assert rho.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+        assert np.signbit(rho.matrix[zero_rows].imag).any()
+        # Complex division by 2.0 turns some -0.0 real parts into +0.0, a
+        # multiplication by 0.5 does not: the planted zeros tell them apart.
+        assert rho.matrix.tobytes() != ((m + m.conj().T) * 0.5).tobytes()
+
+    @pytest.mark.parametrize("subs,dims,zero_rows", CASES, ids=IDS)
+    def test_gap_in_last_block_gives_the_full_message(self, subs, dims, zero_rows):
+        n = int(np.prod(dims))
+        m = zero_rowed_matrix(n, zero_rows, seed=n + 1)
+        m[0, 1] += 1e-3
+        m[n - 1, n - 2] += 2.5e-3j
+        gaps = np.abs(m - m.conj().T)
+        last = list(states._row_blocks(n))[-1]
+        assert gaps[last].max() == gaps.max() > gaps[: last.start].max(initial=0.0)
+        with pytest.raises(ContractError) as caught:
+            DensityMatrix(subs, dims, m)
+        assert type(caught.value) is ContractError
+        assert str(caught.value) == f"matrix is not Hermitian: max |M - M^dag| = {gaps.max():.3e}"
+
+
+class TestMemoryPeak:
+    """Traced allocation peaks are byte counts, so these hold on any machine."""
+
+    MIB = 1 << 20
+
+    def test_validation_holds_only_the_stored_matrix(self):
+        m = partial_trace(haar(4, 32, 32, 96), ("B", "C")).matrix.copy()
+        assert peak_bytes(lambda: DensityMatrix(("B", "C"), (32, 32), m)) <= (16 + 6) * self.MIB
+
+    def test_lopsided_reconstruct_holds_no_large_temporary(self):
+        psi = haar(4, 32, 32, 97)
+        rho_ab = DensityMatrix(("A", "B"), (4, 32), partial_trace(psi, ("A", "B")).matrix)
+        rho_bc = DensityMatrix(("B", "C"), (32, 32), partial_trace(psi, ("B", "C")).matrix)
+        peak = peak_bytes(lambda: reconstruct_tripartite(rho_ab, rho_bc, psi.dims))
+        assert peak <= 6 * self.MIB
 
 
 class TestMalformedSizes:
