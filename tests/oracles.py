@@ -217,3 +217,22 @@ def psd_refusal_cholesky(m, psd_tol=1e-9):
         if lam_min < -psd_tol:
             return f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}"
     return None
+
+
+def data_text_every_float(a):
+    """The canonical data text of a complex vector or matrix, formatting every float.
+
+    One ``"%.16e"`` per float, pair by pair in scalar loops: one pair per
+    line for a vector, one row per line for a matrix.  It is the plain
+    layout that ``serialize`` must reproduce whether it formats every
+    float or only a matrix's upper triangle.
+    """
+
+    def pair(z):
+        return "[%.16e, %.16e]" % (z.real, z.imag)
+
+    if a.ndim == 1:
+        lines = ["    " + pair(z) for z in a]
+    else:
+        lines = ["    [" + ", ".join(pair(z) for z in row) + "]" for row in a]
+    return "[\n" + ",\n".join(lines) + "\n  ]"
