@@ -3,18 +3,19 @@
 One document per file with a ``kind`` discriminator.  Complex numbers are
 written as ``[re, im]`` pairs; vectors in flat order, matrices row-major as
 arrays of rows.  Every float is emitted with 17 significant digits so a
-write-read cycle reproduces doubles bit for bit (except that a negative
-zero real part reads back as +0.0), and the writer is fully deterministic:
-identical objects serialize to identical bytes.
+write-read cycle reproduces doubles bit for bit, signed zeros included,
+and the writer is fully deterministic: identical objects serialize to
+identical bytes.
 
 Number text is most of the cost of a large file, so both directions
 convert each number once.  A density matrix holds each off-diagonal
 number twice, rho_ji = conj(rho_ij): when the two triangles are bitwise
 conjugates, the writer formats only the upper one and writes each
 mirrored pair from its partner's text.  The reader parses a data block
-in exactly the writer's layout as flat arrays of numbers, a chunk of
-rows at a time; any other text takes the general nested parse, with the
-same results and the same errors.
+in exactly the writer's layout, every number in the writer's
+``d.ddd...e+dd`` shape, as flat arrays of numbers converted by orjson, a
+chunk of rows at a time; any other text takes the general nested parse
+by ``json``, with the same results and the same errors.
 """
 
 from __future__ import annotations
@@ -113,11 +114,15 @@ def write_matrix_file(path, obj) -> None:
 
 
 def _as_complex(data, ndim: int) -> np.ndarray:
-    """Complex vector (``ndim`` 1) or matrix (``ndim`` 2) from nested ``[re, im]`` pairs."""
+    """Complex vector (``ndim`` 1) or matrix (``ndim`` 2) from nested ``[re, im]`` pairs.
+
+    Each pair is reinterpreted as one complex, so both parts keep their
+    bits; ``re + 1j * im`` would turn a ``-0.0`` real part into ``+0.0``.
+    """
     arr = _array("data", data, dtype=float)
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ContractError(f"data has shape {arr.shape}, expected ({'n, ' * ndim}2)")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def _reject_constant(token: str):
@@ -125,14 +130,16 @@ def _reject_constant(token: str):
 
 
 # The data block of ``dumps``' text lies between these.  Its skeleton, the
-# block without the characters that numbers are made of, is one line per
-# row joined by ",\n": ``_VECTOR_LINE`` for a vector, or ``_PAIR`` repeated
-# inside a pair of brackets for a matrix.
+# block without digits and signs, is one line per row joined by ",\n":
+# ``_VECTOR_LINE`` for a vector, or ``_PAIR`` repeated inside a pair of
+# brackets for a matrix.  Each slot keeps the writer's "." and "e", so an
+# integer token (which orjson reads as a float beyond int64, where json
+# gives an int) or an "E" exponent leaves the layout.
 _DATA_OPEN = ',\n  "data": [\n'
 _DATA_CLOSE = "\n  ]\n}\n"
-_NUMBER_CHARS = b"0123456789+-.eE"
-_VECTOR_LINE = b"    [, ]"
-_PAIR = b"[, ]"
+_NUMBER_CHARS = b"0123456789+-"
+_VECTOR_LINE = b"    [.e, .e]"
+_PAIR = b"[.e, .e]"
 _BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
 # Whole rows of about this many characters are parsed at a time, so no
 # temporary is the size of the file.
@@ -144,12 +151,15 @@ def _flat_document(text: str) -> dict | None:
 
     The layout holds when the block's skeleton is the canonical one for its
     row and pair count; every slot between separators is then one token of
-    the nested array.  The header is parsed with ``"data": null``, and the
-    numbers, a chunk of whole rows at a time, as flat JSON arrays with the
-    brackets mapped to spaces, so json still validates and converts every
-    token.  Mapped, not deleted: a stray digit after a bracket must not run
-    into the exponent before it.  Any other text, and any failure here,
-    gives None, and the nested parse then reports the text as it always has.
+    the nested array, with one "." and one "e", so a float to both parsers.
+    The header is parsed by json with ``"data": null``, and the numbers, a
+    chunk of whole rows at a time, by orjson as flat JSON arrays with the
+    brackets mapped to spaces, so every token is still validated as JSON
+    and converted as ``float()`` converts it.  Mapped, not deleted: a stray
+    digit after a bracket must not run into the exponent before it.  Any
+    other text, and any failure here (orjson also refuses a token that
+    overflows to infinity), gives None, and the nested parse then reports
+    the text as it always has.
     """
     start = text.find(_DATA_OPEN)
     if start < 0 or not text.endswith(_DATA_CLOSE) or not text.isascii():
@@ -164,6 +174,8 @@ def _flat_document(text: str) -> dict | None:
         line = b"    [" + b", ".join([_PAIR] * shape[1]) + b"]"
     if shape[1] == 0:
         return None
+    import orjson  # not at module import: it raised lopsided peak_rss_mb 80.4 -> 93.5 MB
+
     try:
         doc = json.loads(text[:start] + ', "data": null}', parse_constant=_reject_constant)
         chunks = []
@@ -174,8 +186,8 @@ def _flat_document(text: str) -> dict | None:
             skeleton = chunk.encode("ascii").translate(None, _NUMBER_CHARS)
             if skeleton != b",\n".join([line] * (skeleton.count(b"\n") + 1)):
                 return None
-            chunks.append(np.array(json.loads("[" + chunk.translate(_BRACKETS_TO_SPACES) + "]")))
-            if chunks[-1].dtype != float:  # integers only, or beyond int64: leave them to _array
+            chunks.append(np.array(orjson.loads("[" + chunk.translate(_BRACKETS_TO_SPACES) + "]")))
+            if chunks[-1].dtype != float:  # a guard: the skeleton already admits floats only
                 return None
             pos = cut + 2
     except (ValueError, RecursionError):  # the nested parse meets the fault and reports it
@@ -197,7 +209,7 @@ def loads(text: str) -> PureState | DensityMatrix | GridWavefunction:
     if doc is None:
         try:
             doc = json.loads(text, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ContractError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ContractError("top-level JSON value must be an object")

@@ -297,6 +297,21 @@ class TestEntrypoint:
         )
         assert proc.returncode == 2
 
+    def test_deeply_nested_file_exit_2(self, tmp_path):
+        # deeper than the json module's recursion limit
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        out = tmp_path / "never.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tripure", "marginals", "--in", str(deep), "--keep", "A",
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: not valid JSON")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestMalformedDimsFile:
     @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
+import decimal
 import json
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,20 +294,19 @@ class TestGoldenBytes:
     def test_reread_writes_same_values(self, obj, text):
         back = loads(text)
         assert type(back) is type(obj)
-        # the reader builds re + 1j * im, which turns a negative zero real
-        # part into +0.0; every other value is written again unchanged
-        positive = text.replace("-0.0000000000000000e+00", "0.0000000000000000e+00")
-        assert dumps(back) == positive
+        # every value, a negative zero real part included, is written again unchanged
+        assert dumps(back) == text
 
     def test_density_goldens_pin_both_writer_paths(self):
         objects = dict(zip(GOLDEN_IDS, (obj for obj, _ in golden_objects())))
         assert serialize._is_mirror(objects["density_matrix"].matrix)
         assert not serialize._is_mirror(objects["real_density_matrix"].matrix)
 
-    def test_negative_zero_reads_back_positive(self):
+    def test_negative_zero_reads_back_negative(self):
         back = loads(GOLDEN_PURE)
-        assert np.copysign(1.0, back.amplitudes[0].real) == 1.0
+        assert np.copysign(1.0, back.amplitudes[0].real) == -1.0
         assert back.amplitudes[1].imag == 5e-324
+        assert dumps(loads(GOLDEN_PURE)) == GOLDEN_PURE
 
 
 # Bit patterns a mirrored pair must carry through its sign toggle: signed
@@ -483,7 +486,12 @@ class TestReaderDifferential:
         with pytest.raises(ContractError, match="not valid JSON"):
             loads(text)
 
-    @pytest.mark.parametrize("token", ["1", "-0", "1" * 400, "1e999"])
+    @pytest.mark.parametrize("token", [
+        "1", "-0", "1E5", "1" * 400, "1e999",
+        # around int64 and uint64, and beyond both
+        "9" * 19, "1" + "0" * 19, "-" + "9" * 19, "1" * 20, "-" + "1" * 20, "2" * 25, "-" + "3" * 25,
+        "1" * 30, "1.0e999",
+    ])
     def test_integer_and_overflowing_numbers(self, token):
         text = GOLDEN_PURE.replace("8.0000000000000004e-01", token)
         assert read_outcome(text) == read_outcome(text, flat=False)
@@ -492,6 +500,70 @@ class TestReaderDifferential:
                        "8.0000000000000004e-01", "4.9406564584124654e-324"):
             every = every.replace(number, token)
         assert read_outcome(every) == read_outcome(every, flat=False)
+
+    # Only "d.ddd...e+dd" tokens are floats to both json and orjson; and
+    # orjson refuses a token that overflows, which json reads as inf.
+    @pytest.mark.parametrize("token", ["1", "-0", "1" * 25, "1E5", "1.0E+05", "1e5", "1.0",
+                                       "1.0e999"])
+    def test_tokens_off_the_writer_shape_leave_the_flat_path(self, token):
+        text = GOLDEN_PURE.replace("8.0000000000000004e-01", token)
+        assert serialize._flat_document(text) is None
+
+
+def float_tokens(seed=5, count=4000):
+    """Tokens in the writer's "d.ddd...e+dd" shape that ``float()`` must read exactly.
+
+    Random finite bit patterns (subnormals included) at 16, 17 and 25
+    fraction digits, the exact decimal midpoints between neighbouring
+    doubles (up to ~770 digits, where round-half-even decides) and their
+    neighbours one unit in the last digit away, and random decimals of
+    2-40 digits over the whole exponent range, underflow to zero included.
+    """
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
+    bits[: count // 8] &= np.uint64((1 << 52) - 1) | np.uint64(1 << 63)  # subnormals
+    values = bits.view(float)
+    values = values[np.isfinite(values)]
+    tokens = [fmt % v for fmt in ("%.16e", "%.17e", "%.25e") for v in values.tolist()]
+    context = decimal.Context(prec=2000)
+    for v in values[:400].tolist() + [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 0.1]:
+        after = math.nextafter(v, math.inf)
+        if not math.isfinite(after):
+            continue
+        mid = context.divide(context.add(decimal.Decimal(v), decimal.Decimal(after)), 2)
+        unit = decimal.Decimal((0, (1,), mid.as_tuple().exponent))
+        for shifted in (mid, context.add(mid, unit), context.subtract(mid, unit)):
+            tokens.append(format(shifted, ".%de" % max(1, len(shifted.as_tuple().digits) - 1)))
+    for _ in range(2000):
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(2, 41))))
+        sign = "-" if rng.integers(2) else ""
+        tokens.append(f"{sign}{digits[0]}.{digits[1:]}e{int(rng.integers(-345, 308)):+03d}")
+    return tokens
+
+
+class TestFloatConversion:
+    """orjson, the flat reader's kernel, converts every token as ``float()`` does."""
+
+    def test_bitwise_equal_to_float(self):
+        tokens = float_tokens()
+        if len(tokens) % 2:
+            tokens.append("1.0e+00")
+        assert all(np.isfinite([float(t) for t in tokens]))
+        rows = ",\n".join("    [%s, %s]" % pair for pair in zip(tokens[::2], tokens[1::2]))
+        text = '{\n  "kind": "pure_state",\n  "dims": [1, 1, 1],\n  "data": [\n' + rows + "\n  ]\n}\n"
+        doc = serialize._flat_document(text)
+        assert doc is not None
+        expected = np.array([float(t) for t in tokens])
+        assert np.array_equal(doc["data"].ravel().view(np.uint64), expected.view(np.uint64))
+
+
+def test_importing_the_cli_does_not_import_orjson():
+    # the bulk reader imports orjson where it runs, so a process that
+    # never reads a data file does not carry it
+    code = "import sys, tripure.cli; print('orjson' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestMemoryPeak:
