@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields
+from typing import NoReturn
 
 from .errors import AlgorithmError, ContractError
 from .harness import batch_stats, run_trials, sample_haar_state
@@ -59,11 +61,10 @@ def _write_report(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _report_failure(path, exc: AlgorithmError, context: dict) -> int:
-    """Write the failure report for ``exc``, name it on stderr and return exit code 3."""
+def _report_failure(path, exc: AlgorithmError, context: dict) -> NoReturn:
+    """Write the failure report for ``exc`` and raise it again, for ``main`` to name."""
     _write_report(path, {**_outcome_fields(exc), "detail": str(exc), **context})
-    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    return 3
+    raise exc
 
 
 def _cmd_gen(args) -> int:
@@ -95,7 +96,7 @@ def _cmd_reconstruct(args) -> int:
     except AlgorithmError as exc:
         t_done = time.perf_counter()
         timings = {"load_s": t_load - t0, "reconstruct_s": t_done - t_load, "total_s": t_done - t0}
-        return _report_failure(args.report, exc, {"config": asdict(cfg), "timings": timings})
+        _report_failure(args.report, exc, {"config": asdict(cfg), "timings": timings})
     t_done = time.perf_counter()
     write_matrix_file(args.out, report.state)
     t_written = time.perf_counter()
@@ -112,7 +113,11 @@ def _cmd_reconstruct(args) -> int:
     }
     if truth is not None:
         payload["fidelity"] = fidelity(truth, report.state)
-    _write_report(args.report, payload)
+    try:
+        _write_report(args.report, payload)
+    except OSError:
+        os.remove(args.out)  # exit 2 leaves no output behind
+        raise
     return 0
 
 
@@ -160,7 +165,7 @@ def _cmd_tomo_demo(args) -> int:
         recovered = reconstruct_grid(rho_xy, rho_yz, shape, spacings, cfg)
     except AlgorithmError as exc:
         timings = {"total_s": time.perf_counter() - t0}
-        return _report_failure(args.report, exc, {**base, "timings": timings})
+        _report_failure(args.report, exc, {**base, "timings": timings})
     fid = grid_fidelity(truth, recovered)
     elapsed = time.perf_counter() - t0
     _write_report(
@@ -260,10 +265,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgorithmError as exc:

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, GenericityViolation, NumericalError, SpectrumMismatch
-from .states import (
-    SKETCH_MIN_RATIO,
-    SKETCH_OVERSAMPLE,
-    DensityMatrix,
-    _instance,
-    _integer,
-    _positive_real,
-    _range_sketch,
-)
+from .states import DensityMatrix, _instance, _integer, _positive_real, _sketch_for
 
 # Bounds both the truncated eigenvalue mass and the Frobenius reconstruction
 # residual; dim * rank_threshold stays below this for dims up to 4096.
@@ -78,27 +70,21 @@ def eig_hermitian(
     checked against ``RANK_LEAK_TOL``.
 
     ``rank_bound`` is the rank the caller expects, such as the rank of the
-    complementary marginal.  When the matrix is large next to it, a range
-    sketch of ``max(rank_bound + SKETCH_OVERSAMPLE, 2 * SKETCH_OVERSAMPLE)``
-    columns is tried first; that is the probe count of the validation
-    sketch, so the sketch that certified ``rho`` positive semidefinite is
-    reused when it has that many columns, and a derived matrix with the same
-    bits gets the same eigenpairs.  The sketch is accepted only if the bound
-    on its truncated residual ``R`` is at most ``rank_threshold`` (and
-    ``RANK_LEAK_TOL``): by Weyl's inequality every eigenvalue it missed is
-    at most ``||R||_2 <= ||R||_F``, so it keeps what a full solve keeps.
-    Otherwise the full dense solve runs as if no bound were given.
+    complementary marginal.  When it is given, the range sketch that
+    ``states._sketch_for`` takes or reuses for it is tried first.  The
+    sketch is accepted only if the bound on its truncated residual ``R`` is
+    at most ``rank_threshold`` (and ``RANK_LEAK_TOL``): by Weyl's inequality
+    every eigenvalue it missed is at most ``||R||_2 <= ||R||_F``, so it
+    keeps what a full solve keeps.  Otherwise, or when the matrix is too
+    small to sketch, the full dense solve runs as if no bound were given.
     """
     m = _instance("rho", rho, DensityMatrix).matrix
     if _positive_real("rank_threshold", rank_threshold) >= 1.0:
         raise ContractError(f"rank_threshold must lie in (0, 1), got {rank_threshold!r}")
     kept_vals = kept_vecs = None
     if rank_bound is not None:
-        k = max(_integer("rank_bound", rank_bound) + SKETCH_OVERSAMPLE, 2 * SKETCH_OVERSAMPLE)
-        if m.shape[0] >= SKETCH_MIN_RATIO * k:
-            sketch = rho._sketch
-            if sketch is None or len(sketch[0]) != k:
-                sketch = _range_sketch(m, k)
+        sketch = _sketch_for(m, _integer("rank_bound", rank_bound), rho._sketch)
+        if sketch is not None:
             vals, vecs, residual = _truncate(*sketch, rank_threshold)
             if residual <= min(rank_threshold, RANK_LEAK_TOL):
                 kept_vals, kept_vecs = vals, vecs
@@ -115,7 +101,7 @@ def eig_hermitian(
             )
     if abs(kept_vals.sum() - 1.0) > RANK_LEAK_TOL:
         raise NumericalError(
-            f"retained eigenvalue sum {kept_vals.sum()!r} deviates from 1"
+            f"retained eigenvalue sum {float(kept_vals.sum())!r} deviates from 1"
         )
     return SpectralDecomposition(
         eigenvalues=kept_vals,

@@ -8,7 +8,9 @@ The same convention orders the rows and columns of every density matrix.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,47 @@ SKETCH_SEED = 403200
 # Complex entries per row block of the n x n passes (1 MiB), so validation
 # and residuals hold no full-size temporary.
 _BLOCK_ENTRIES = 1 << 16
+
+# glibc mallopt parameters (malloc.h) and the size from which a buffer gets
+# its own mapping: numpy asks for huge pages from 4 MiB up, so a fresh
+# mapping of a large matrix faults in 2 MiB at a time.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 1 << 22
+
+
+def _fix_mmap_threshold(environ=os.environ, mallopt=None) -> bool:
+    """Give every buffer of ``_MMAP_THRESHOLD`` bytes or more its own mapping, under glibc.
+
+    By default glibc raises its mmap threshold to the size of the largest
+    buffer freed, up to 32 MiB.  After the first n x n matrix is freed, the
+    next ones are then carved from the heap, and whether a freed matrix's
+    pages are reused or fresh ones are touched depends on every allocation
+    made before: the peak memory of a loop over 1024 x 1024 marginals
+    moved between ~80 and ~93 MB from run to run and with edits to a module
+    the loop never ran.  Setting the threshold turns that adjustment off,
+    so a large matrix is mapped when allocated and unmapped when freed; the
+    trim threshold is set to twice it, the pair glibc itself would pick.  A
+    threshold set in the environment is left alone, and under another C
+    library nothing is done.  Returns whether the thresholds were set.
+    """
+    if "MALLOC_MMAP_THRESHOLD_" in environ or "mmap_threshold" in environ.get("GLIBC_TUNABLES", ""):
+        return False
+    if mallopt is None:
+        try:
+            if not os.confstr("CS_GNU_LIBC_VERSION"):
+                return False
+            mallopt = ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, TypeError, ValueError):
+            return False
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+    )
+
+
+_fix_mmap_threshold()
 
 
 def _integer(name: str, value, least: int = 1) -> int:
@@ -155,20 +198,34 @@ def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]
     return vals, vecs, _residual_norm(vecs * vals, vecs.conj().T, m)
 
 
+def _sketch_for(m: np.ndarray, rank_bound: int, stored: tuple | None = None) -> tuple | None:
+    """Range sketch of ``m`` for an expected rank ``rank_bound``; None if ``m`` is too small.
+
+    The one place that sizes and reuses sketches: ``m`` needs
+    ``SKETCH_MIN_RATIO`` rows per probe column, and ``stored``, an earlier
+    sketch of ``m``, is returned when it has the k columns asked for; the
+    probes' seed is fixed, so a new sketch would have the same bits.
+    """
+    k = max(rank_bound + SKETCH_OVERSAMPLE, 2 * SKETCH_OVERSAMPLE)
+    if m.shape[0] < SKETCH_MIN_RATIO * k:
+        return None
+    if stored is not None and len(stored[0]) == k:
+        return stored
+    return _range_sketch(m, k)
+
+
 def _psd_by_sketch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     """The range sketch that certifies every eigenvalue of ``m`` is >= -PSD_TOL / 2, or None.
 
     With sketched eigenpairs ``V, lam``, the matrix ``V diag(lam) V^dag`` has
     spectrum ``lam`` and zeros, so by Weyl's inequality ``lambda_min(m) >=
     min(lam_min, 0) - ||R||_F`` for the residual ``R = m - V diag(lam) V^dag``.
-    One sketch of ``2 * SKETCH_OVERSAMPLE`` probes is tried, when the matrix
-    is ``SKETCH_MIN_RATIO`` times that size; it certifies matrices of rank
-    up to about the probe count.
+    The sketch is ``_sketch_for(m, 0)``; it certifies matrices of rank up to
+    about its probe count.
     """
-    k = 2 * SKETCH_OVERSAMPLE
-    if m.shape[0] < SKETCH_MIN_RATIO * k:
+    sketch = _sketch_for(m, 0)
+    if sketch is None:
         return None
-    sketch = _range_sketch(m, k)
     vals, _, residual = sketch
     return sketch if min(vals[0], 0.0) - residual >= -PSD_TOL / 2 else None
 
@@ -213,7 +270,7 @@ class PureState:
     def __post_init__(self):
         dims = _instance("dims", self.dims, Dims)
         amps = _array("amplitudes", self.amplitudes, (dims.total,))
-        norm = np.linalg.norm(amps)
+        norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ContractError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
@@ -279,7 +336,7 @@ class DensityMatrix:
             raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {herm_gap:.3e}")
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
-            raise ContractError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
+            raise ContractError(f"trace {complex(tr)!r} deviates from 1 by more than {TRACE_TOL}")
         sketch = _psd_by_sketch(m)
         if sketch is None:
             shifted = m.copy()

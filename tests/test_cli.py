@@ -67,6 +67,14 @@ class TestGen:
     def test_malformed_dims_exit_2(self, tmp_path):
         assert main(["gen", "--dims", "2,2", "--seed", "1", "--out", "x.json"]) == 2
 
+    def test_non_integer_dims_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert main(["gen", "--dims", "2,x,2", "--seed", "1", "--out", str(out)]) == 2
+        assert "argument --dims: invalid literal for int() with base 10: 'x'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestMarginals:
     def test_product_state_keep_ab(self, tmp_path, product_state):
@@ -584,6 +592,7 @@ class TestUntracedExitTwo:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        return err
 
     def test_marginals_of_a_grid_file(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
@@ -624,6 +633,44 @@ class TestUntracedExitTwo:
             ["roundtrip", "--dims", "2,2,2", "--trials", "1", "--report", str(report)], capsys
         )
         assert not report.exists()
+
+    @pytest.mark.parametrize("outcome", ["success", "failure"])
+    def test_reconstruct_report_into_a_missing_directory_writes_nothing(
+        self, tmp_path, capsys, ghz_state, outcome
+    ):
+        psi = sample_haar_state(Dims(2, 2, 2), 7) if outcome == "success" else ghz_state
+        ab, bc = write_marginals(tmp_path, psi, "report")
+        out = tmp_path / "never.json"
+        report = tmp_path / "missing" / "report.json"
+        self._assert_exit_2(
+            ["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,2,2",
+             "--out", str(out), "--report", str(report)],
+            capsys,
+        )
+        assert not out.exists() and not report.exists()
+
+    def test_pure_state_of_norm_sqrt_2(self, tmp_path, capsys):
+        src = tmp_path / "norm.json"
+        src.write_text(
+            '{"kind": "pure_state", "dims": [1, 1, 2], "data": [[1.0, 0.0], [1.0, 0.0]]}'
+        )
+        err = self._assert_exit_2(
+            ["marginals", "--in", str(src), "--keep", "C", "--out", str(tmp_path / "x.json")],
+            capsys,
+        )
+        assert err == "error: state norm 1.4142135623730951 deviates from 1 by more than 1e-10\n"
+
+    def test_density_matrix_of_trace_2(self, tmp_path, capsys):
+        src = tmp_path / "trace.json"
+        src.write_text(
+            '{"kind": "density_matrix", "subsystems": ["A", "B"], "dims": [1, 1], '
+            '"data": [[[2.0, 0.0]]]}'
+        )
+        err = self._assert_exit_2(
+            ["marginals", "--in", str(src), "--keep", "A", "--out", str(tmp_path / "x.json")],
+            capsys,
+        )
+        assert err == "error: trace (2+0j) deviates from 1 by more than 1e-10\n"
 
 
 def test_truth_of_other_dims_exit_2_writes_nothing(tmp_path, capsys):

@@ -117,6 +117,18 @@ class TestCoefficientTensors:
         with pytest.raises(ExpansionLeakage):
             coefficient_tensors(s["bc"], s["ab"], s["a"], clipped, s["c"], psi.dims)
 
+    def test_single_party_dims_mismatch(self):
+        s = decompose_all(haar(2, 3, 4, 6))
+        with pytest.raises(ContractError) as caught:
+            coefficient_tensors(s["bc"], s["ab"], s["a"], s["b"], s["c"], Dims(2, 3, 5))
+        assert str(caught.value) == "single-party decompositions do not match dims"
+
+    def test_bipartite_dims_mismatch(self):
+        s = decompose_all(haar(2, 3, 4, 6))
+        with pytest.raises(ContractError) as caught:
+            coefficient_tensors(s["ab"], s["bc"], s["a"], s["b"], s["c"], Dims(2, 3, 4))
+        assert str(caught.value) == "bipartite decompositions do not match dims"
+
 
 class TestPhaseEdges:
     def test_product_state(self, product_state):
@@ -231,6 +243,12 @@ class TestAssembleState:
         assert expected == pytest.approx(0.79, abs=1e-12)
         assert fidelity(wrong, truth) == pytest.approx(expected, abs=1e-9)
 
+    def test_dims_mismatch(self):
+        pairing, spec_a, spec_bc = planted_schmidt_pieces()
+        with pytest.raises(ContractError) as caught:
+            assemble_state(pairing, spec_a, spec_bc, np.zeros(2), Dims(2, 2, 3))
+        assert str(caught.value) == "decompositions do not match dims"
+
     def test_canonical_global_phase(self):
         psi = haar(2, 2, 2, 10)
         s = decompose_all(psi)
@@ -256,6 +274,17 @@ class TestCompatibilityResidual:
         coeffs, s = tensors_of(psi)
         sol = solve_phases(phase_edges(coeffs))
         assert compatibility_residual(coeffs, sol, s["a"], s["c"]) <= 1e-8
+
+    def test_violation_is_refused_with_the_gap(self, monkeypatch):
+        psi = haar(2, 3, 4, 12)
+        gap = reconstruct_tripartite(*marginal_pair(psi), psi.dims).min_spectral_gap
+        monkeypatch.setattr("tripure.reconstruct.compatibility_residual", lambda *args: 1.0)
+        with pytest.raises(PhaseInconsistency) as caught:
+            reconstruct_tripartite(*marginal_pair(psi), psi.dims)
+        assert str(caught.value) == (
+            "amplitude compatibility violated by 1.000e+00 after phase solving"
+        )
+        assert caught.value.min_spectral_gap == gap > 0.0
 
     def test_corrupted_phase_is_visible(self):
         psi = haar(2, 2, 2, 11)

@@ -111,6 +111,18 @@ class TestErrors:
         with pytest.raises(ContractError):
             loads(json.dumps(doc))
 
+    def test_top_level_array(self):
+        with pytest.raises(ContractError) as caught:
+            loads("[1, 2]")
+        assert str(caught.value) == "top-level JSON value must be an object"
+
+    def test_scalar_dims(self):
+        doc = {"kind": "pure_state", "dims": 5, "data": [[1.0, 0.0]]}
+        with pytest.raises(ContractError) as caught:
+            loads(json.dumps(doc))
+        assert type(caught.value) is ContractError
+        assert str(caught.value).startswith("malformed document: ")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ContractError):
             read_matrix_file(tmp_path / "absent.json")

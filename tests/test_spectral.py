@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -317,4 +319,15 @@ class TestTruncationRefusal:
         assert type(caught.value) is NumericalError
         assert str(caught.value) == (
             "rank truncation at 1.0e-03 discards too much: Frobenius residual 5.000e-04"
+        )
+
+    def test_retained_sum_short_of_one_is_refused(self):
+        # 300 tail eigenvalues of 5e-9 leave a residual of only 8.7e-8, but
+        # take 1.5e-6 of the trace with them.
+        rho = density_with_spectrum([0.5, 0.5 - 1e-9] + [5e-9] * 300, 400, 80)
+        with pytest.raises(NumericalError) as caught:
+            eig_hermitian(rho, rank_threshold=1e-8)
+        assert type(caught.value) is NumericalError
+        assert re.fullmatch(
+            r"retained eigenvalue sum 0\.99999\d+ deviates from 1", str(caught.value)
         )

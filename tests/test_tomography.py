@@ -151,6 +151,14 @@ class TestGridBoundary:
         with pytest.raises(ContractError, match="non-finite"):
             normalize_grid((2, 2, 2), (1.0, 1.0, 1.0), raw)
 
+    def test_grid_fidelity_rejects_grids_of_different_shape(self):
+        flat = normalize_grid((2, 2, 2), (1.0, 1.0, 1.0), np.ones(8, dtype=complex))
+        long = normalize_grid((2, 2, 4), (1.0, 1.0, 1.0), np.ones(16, dtype=complex))
+        with pytest.raises(ContractError) as caught:
+            grid_fidelity(flat, long)
+        assert type(caught.value) is ContractError
+        assert str(caught.value) == "grids differ in shape or spacing"
+
 
 # Spacings that float() would have coerced or let through to a misleading
 # error; every entry point names the bad entry instead.
