@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -19,7 +18,7 @@ from .errors import AlgorithmError, ContractError
 from .harness import batch_stats, run_trials, sample_haar_state
 from .reconstruct import ReconstructionConfig, _outcome_fields, reconstruct_tripartite
 from .states import Dims, PureState, fidelity, partial_trace
-from .serialize import read_matrix_file, write_matrix_file
+from .serialize import _replacing, dumps, read_matrix_file, write_matrix_file
 from .tomography import (
     PROFILES,
     build_profile,
@@ -53,12 +52,14 @@ def _config_from(args) -> ReconstructionConfig:
     return ReconstructionConfig(**overrides)
 
 
+def _report_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _write_report(path, payload: dict) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    if path is not None:
+        with _replacing() as stage:
+            stage(path, _report_text(payload))
 
 
 def _report_failure(path, exc: AlgorithmError, context: dict) -> NoReturn:
@@ -98,26 +99,24 @@ def _cmd_reconstruct(args) -> int:
         timings = {"load_s": t_load - t0, "reconstruct_s": t_done - t_load, "total_s": t_done - t0}
         _report_failure(args.report, exc, {"config": asdict(cfg), "timings": timings})
     t_done = time.perf_counter()
-    write_matrix_file(args.out, report.state)
-    t_written = time.perf_counter()
-    payload = {
-        **_outcome_fields(report),
-        "genericity_flags": report.genericity_flags,
-        "config": asdict(cfg),
-        "timings": {
-            "load_s": t_load - t0,
-            "reconstruct_s": t_done - t_load,
-            "write_s": t_written - t_done,
-            "total_s": t_written - t0,
-        },
-    }
-    if truth is not None:
-        payload["fidelity"] = fidelity(truth, report.state)
-    try:
-        _write_report(args.report, payload)
-    except OSError:
-        os.remove(args.out)  # exit 2 leaves no output behind
-        raise
+    with _replacing() as stage:  # --out and --report both, or neither
+        stage(args.out, dumps(report.state))
+        t_written = time.perf_counter()
+        payload = {
+            **_outcome_fields(report),
+            "genericity_flags": report.genericity_flags,
+            "config": asdict(cfg),
+            "timings": {
+                "load_s": t_load - t0,
+                "reconstruct_s": t_done - t_load,
+                "write_s": t_written - t_done,
+                "total_s": t_written - t0,
+            },
+        }
+        if truth is not None:
+            payload["fidelity"] = fidelity(truth, report.state)
+        if args.report is not None:
+            stage(args.report, _report_text(payload))
     return 0
 
 
@@ -265,8 +264,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ContractError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ContractError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except AlgorithmError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -31,9 +31,15 @@ class TrialRecord:
 
 
 def sample_haar_state(dims: Dims, seed: int) -> PureState:
-    """Normalized vector of iid standard complex Gaussians, uniform on the sphere."""
+    """Normalized vector of iid standard complex Gaussians, uniform on the sphere.
+
+    Dims whose amplitudes need more bytes than numpy can index are refused.
+    """
     rng = np.random.default_rng(_integer("seed", seed, least=0))
-    raw = rng.standard_normal((_instance("dims", dims, Dims).total, 2))
+    total = _instance("dims", dims, Dims).total
+    if total * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise ContractError(f"dims {dims.as_tuple()} give {total} amplitudes, too many for numpy")
+    raw = rng.standard_normal((total, 2))
     amps = raw[:, 0] + 1j * raw[:, 1]
     return PureState(dims, amps / np.linalg.norm(amps))
 

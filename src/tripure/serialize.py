@@ -16,11 +16,17 @@ in exactly the writer's layout, every number in the writer's
 ``d.ddd...e+dd`` shape, as flat arrays of numbers converted by orjson, a
 chunk of rows at a time; any other text takes the general nested parse
 by ``json``, with the same results and the same errors.
+
+Every file a command writes goes through ``_replacing``: a target is
+either left as it was or holds the whole new text.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -102,15 +108,62 @@ def dumps(obj: PureState | DensityMatrix | GridWavefunction) -> str:
     return "".join(["{\n", head, '  "data": ', _data_text(data), "\n}\n"])
 
 
-def write_matrix_file(path, obj) -> None:
-    """Write ``dumps(obj)`` to ``path``.
+@contextmanager
+def _replacing():
+    """Yield ``stage(path, text)``; when the block ends, every staged text replaces its target.
 
-    The text is made before the file is opened, so an object that cannot be
-    serialized leaves the file as it was.
+    ``stage`` writes the text to a new file beside the target, created with
+    ``O_EXCL`` and mode ``0o666`` so the umask applies as for
+    ``open(path, "w")``; an existing regular target passes on its
+    permission bits.  A symlink is resolved, so the link survives.  Only
+    when the block ends without an exception does each new file
+    ``os.replace`` its target; on any exception the new files are removed
+    and every target keeps its bytes.  A target that exists and is not a
+    regular file (``/dev/stdout``, a FIFO) is written in place when staged.
+    Nothing is synced to disk: a failed write or a killed process leaves
+    no partial target, a power loss may.
+    """
+    staged: list[tuple[str, str]] = []
+
+    def stage(path, text: str) -> None:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        target = os.path.realpath(path)
+        head, tail = os.path.split(target)
+        temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        staged.append((temp, target))
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.write(text)
+
+    try:
+        yield stage
+        for temp, target in staged:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in staged:
+            with suppress(OSError):
+                os.remove(temp)
+        raise
+
+
+def write_matrix_file(path, obj) -> None:
+    """Write ``dumps(obj)`` to ``path`` through ``_replacing``.
+
+    The text is made before any file is created, and a failed write leaves
+    ``path`` as it was.
     """
     text = dumps(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with _replacing() as stage:
+        stage(path, text)
 
 
 def _as_complex(data, ndim: int) -> np.ndarray:

@@ -295,9 +295,10 @@ class DensityMatrix:
     of the matrix with its diagonal shifted; only when that fails is the
     smallest eigenvalue computed and compared with ``-PSD_TOL``.
 
-    The symmetrization, the Hermitian check and the sketch residual run
-    over row blocks (``_row_blocks``), so apart from the Cholesky copy no
-    n x n temporary is held beyond the stored matrix.  The residual is a
+    The symmetrization works in place in the stored matrix, as in
+    ``_derived``, and the Hermitian check and the sketch residual run over
+    row blocks (``_row_blocks``), so apart from the Cholesky copy no n x n
+    temporary is held beyond the stored matrix.  The residual is a
     blocked sum of squares, not bitwise ``np.linalg.norm``; it is only
     compared with tolerances.
 
@@ -324,14 +325,10 @@ class DensityMatrix:
         dims = _entries("dims", self.dims, _integer, len(subs))
         n = math.prod(dims)
         given = _array("matrix", self.matrix, (n, n))
-        m = np.empty((n, n), dtype=complex)
-        herm_gap = 0.0
-        for rows in _row_blocks(n):
-            block = m[rows]
-            np.conjugate(given[:, rows].T, out=block)
-            herm_gap = max(herm_gap, np.abs(given[rows] - block).max())
-            block += given[rows]
-            block /= 2.0
+        m = np.conjugate(given.T, order="C")
+        herm_gap = max(np.abs(given[rows] - m[rows]).max() for rows in _row_blocks(n))
+        m += given
+        m /= 2.0
         if herm_gap > HERM_TOL:
             raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {herm_gap:.3e}")
         tr = m.trace()

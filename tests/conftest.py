@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +23,37 @@ def checkout_on_subprocess_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", str(src), prepend=os.pathsep)
         yield
+
+
+# Sets the child's own file-size limit, then runs the code or module it is given.
+_CHILD = """\
+import resource, runpy, sys
+fsize, code = int(sys.argv.pop(1)), sys.argv.pop(1)
+if fsize >= 0:
+    resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+if code:
+    sys.argv[0] = "-c"
+    exec(compile(code, "<child>", "exec"), {"__name__": "__main__"})
+else:
+    sys.argv[0] = "tripure"
+    runpy.run_module("tripure", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_child(*args, code=None, env=None, fsize=None) -> subprocess.CompletedProcess:
+    """Run ``python -m tripure *args``, or ``code`` with ``args`` as ``sys.argv[1:]``, in a child.
+
+    ``env`` entries are added to this process's environment.  ``fsize``
+    caps the size of any file the child writes (``RLIMIT_FSIZE``, in
+    bytes).  The child sets the limit itself before it runs anything, since
+    ``preexec_fn`` is unsafe in a process that already runs threads, as
+    this one does with OpenBLAS.  CPython ignores ``SIGXFSZ``, so a write
+    over the limit raises ``OSError`` (``EFBIG``) in the child.
+    """
+    argv = [sys.executable, "-c", _CHILD, str(-1 if fsize is None else fsize), code or "", *args]
+    return subprocess.run(
+        [str(a) for a in argv], capture_output=True, text=True, env={**os.environ, **(env or {})}
+    )
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripure import (
+    ContractError,
     Dims,
     GenericityViolation,
     ReconstructionConfig,
@@ -21,6 +24,8 @@ from tripure import (
 )
 from tripure.cli import main
 from tripure.serialize import read_matrix_file, write_matrix_file
+
+from conftest import haar, run_child
 
 TYPED_ERRORS = {
     "SpectrumMismatch",
@@ -542,6 +547,152 @@ class TestReportFields:
         assert shared == set(record) - {"seed", "dims"}
         for name in shared:
             assert doc[name] == record[name], name
+
+
+MIB = 1 << 20
+
+
+def snapshot(directory):
+    """Every file in ``directory`` with its bytes, symlinks as their link text."""
+    return {
+        p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+        for p in sorted(directory.iterdir())
+    }
+
+
+def assert_one_error_line(proc, code=2):
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+class TestAllOrNothingWrites:
+    """A command that fails while writing leaves every file it would write as it was.
+
+    The child's ``RLIMIT_FSIZE`` makes a write fail part way; no previous
+    file may change and no temporary may stay behind.
+    """
+
+    def test_marginals_over_a_valid_file(self, tmp_path):
+        psi = gen(tmp_path, "psi.json", dims="8,64,8", seed=2)
+        write_matrix_file(tmp_path / "ab.json", partial_trace(haar(8, 64, 8, 1), ("A", "B")))
+        before = snapshot(tmp_path)
+        assert len(before["ab.json"]) > MIB
+        proc = run_child("marginals", "--in", psi, "--keep", "AB", "--out", tmp_path / "ab.json",
+                         fsize=MIB)
+        assert_one_error_line(proc)
+        assert "File too large" in proc.stderr
+        assert snapshot(tmp_path) == before
+
+    def test_reconstruct_out_over_the_limit_keeps_out_and_report(self, tmp_path):
+        # (128,2,128): 256 x 256 marginals, a state file of ~1.8 MB
+        psi = haar(128, 2, 128, 3)
+        ab, bc = write_marginals(tmp_path, psi, "big")
+        out, report = tmp_path / "out.json", tmp_path / "report.json"
+        write_matrix_file(out, sample_haar_state(Dims(2, 2, 2), 1))
+        report.write_text('{"previous": true}\n')
+        before = snapshot(tmp_path)
+        proc = run_child("reconstruct", "--ab", ab, "--bc", bc, "--dims", "128,2,128",
+                         "--out", out, "--report", report, fsize=MIB)
+        assert_one_error_line(proc)
+        assert snapshot(tmp_path) == before
+        assert run_child("reconstruct", "--ab", ab, "--bc", bc, "--dims", "128,2,128",
+                         "--out", out, "--report", report).returncode == 0
+        assert out.stat().st_size > MIB
+
+    def test_reconstruct_report_over_the_limit_keeps_out(self, tmp_path):
+        ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 7), "small")
+        argv = ["reconstruct", "--ab", ab, "--bc", bc, "--dims", "2,2,2"]
+        fresh, work = tmp_path / "fresh", tmp_path / "work"
+        fresh.mkdir()
+        work.mkdir()
+        assert main([*map(str, argv), "--out", str(fresh / "out.json"),
+                     "--report", str(fresh / "report.json")]) == 0
+        out_size = (fresh / "out.json").stat().st_size
+        assert out_size < (fresh / "report.json").stat().st_size
+        out, report = work / "out.json", work / "report.json"
+        out.write_text('{"previous": "out"}\n')
+        report.write_text('{"previous": "report"}\n')
+        before = snapshot(work)
+        # --out fits under the limit and is staged first; --report does not fit
+        proc = run_child(*argv, "--out", out, "--report", report, fsize=out_size)
+        assert_one_error_line(proc)
+        assert snapshot(work) == before
+
+    def test_roundtrip_report_over_the_limit(self, tmp_path):
+        report = tmp_path / "batch.json"
+        report.write_text('{"previous": true}\n')
+        before = snapshot(tmp_path)
+        # about 470 bytes of report per trial
+        proc = run_child("roundtrip", "--dims", "2,2,2", "--trials", "2400", "--report", report,
+                         fsize=MIB)
+        assert_one_error_line(proc)
+        assert snapshot(tmp_path) == before
+
+    def test_report_into_a_missing_directory_keeps_an_existing_out(self, tmp_path, capsys):
+        ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 7), "dir")
+        out = tmp_path / "out.json"
+        write_matrix_file(out, sample_haar_state(Dims(2, 2, 2), 1))
+        before = snapshot(tmp_path)
+        code = main(["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,2,2",
+                     "--out", str(out), "--report", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert snapshot(tmp_path) == before
+
+    def test_report_to_stdout_is_printed(self, tmp_path):
+        ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 7), "stdout")
+        proc = run_child("reconstruct", "--ab", ab, "--bc", bc, "--dims", "2,2,2",
+                         "--out", tmp_path / "out.json", "--report", "/dev/stdout")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outcome"] == "success"
+        assert (tmp_path / "out.json").exists()
+
+    def test_symlinked_out_stays_a_link(self, tmp_path):
+        target = tmp_path / "data" / "psi.json"
+        target.parent.mkdir()
+        target.write_text("{}\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["gen", "--dims", "2,2,2", "--seed", "7", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == gen(tmp_path, "plain.json").read_bytes()
+        assert sorted(p.name for p in target.parent.iterdir()) == ["psi.json"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        code = "import os, sys; os.umask(0o027); from tripure.cli import main; sys.exit(main())"
+        out = tmp_path / "psi.json"
+        proc = run_child("gen", "--dims", "2,2,2", "--seed", "7", "--out", out, code=code)
+        assert proc.returncode == 0, proc.stderr
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "psi.json"
+        out.write_text("{}\n")
+        out.chmod(0o600)
+        assert main(["gen", "--dims", "2,2,2", "--seed", "7", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert read_matrix_file(out).dims == Dims(2, 2, 2)
+
+
+class TestOversizedDims:
+    """Dims beyond numpy's index range or the memory at hand end in exit 2 and write nothing."""
+
+    @pytest.mark.parametrize("dims", ["100000,100000,100000", "3000000000,3000000000,3000000000"])
+    @pytest.mark.parametrize("command", ["gen", "roundtrip"])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, dims, command):
+        out = tmp_path / "never.json"
+        if command == "gen":
+            argv = ["gen", "--dims", dims, "--seed", "1", "--out", str(out)]
+        else:
+            argv = ["roundtrip", "--dims", dims, "--trials", "1", "--report", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_index_limit_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="too many for numpy"):
+            sample_haar_state(Dims(3 * 10**9, 3 * 10**9, 3 * 10**9), 1)
 
 
 class TestSeedRefusals:

@@ -35,7 +35,7 @@ from tripure import (
 from tripure.reconstruct import _marginal_residual
 from tripure.spectral import SpectralDecomposition, SpectrumPairing
 
-from conftest import haar, marginal_pair, planted_state
+from conftest import haar, marginal_pair, planted_state, run_child
 from oracles import (
     ab_overlaps_loops,
     bc_overlaps_loops,
@@ -585,6 +585,46 @@ class TestBlockedMarginalResidual:
                 expected = np.linalg.norm(full)
                 residual = _marginal_residual(state, rho)
                 assert abs(residual - expected) <= max(1e-12 * expected, 1e-18)
+
+
+# Reconstructs validated seed-7 Haar inputs at each dims and saves the amplitudes.
+_RECONSTRUCT_DIMS = """\
+import sys
+import numpy as np
+from tripure import DensityMatrix, Dims, partial_trace, reconstruct_tripartite, sample_haar_state
+out = {}
+for text in sys.argv[2:]:
+    d_a, d_b, d_c = map(int, text.split(","))
+    psi = sample_haar_state(Dims(d_a, d_b, d_c), 7)
+    rho_ab = DensityMatrix(("A", "B"), (d_a, d_b), partial_trace(psi, ("A", "B")).matrix)
+    rho_bc = DensityMatrix(("B", "C"), (d_b, d_c), partial_trace(psi, ("B", "C")).matrix)
+    out[text] = reconstruct_tripartite(rho_ab, rho_bc, psi.dims).state.amplitudes
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_blas_thread_count_moves_only_the_last_bits(tmp_path):
+    """Outputs under one and two OpenBLAS threads, as the README scopes its determinism claim.
+
+    At (2,3,4) and (8,64,8) they are bitwise equal.  At (4,32,32) the range
+    sketch's QR completes a rank-4 probe block with rounding noise that
+    depends on the thread count, so amplitudes may differ in the last bits.
+    """
+    dims = ["2,3,4", "8,64,8", "4,32,32"]
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.npz"
+        env = {"OPENBLAS_NUM_THREADS": threads}
+        proc = run_child(path, *dims, code=_RECONSTRUCT_DIMS, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(np.load(path))
+    one, two = runs
+    for text in dims[:2]:
+        assert one[text].tobytes() == two[text].tobytes()
+    assert np.abs(one["4,32,32"] - two["4,32,32"]).max() <= 5e-16
+    psi = haar(4, 32, 32, 7)
+    for amps in (one["4,32,32"], two["4,32,32"]):
+        assert fidelity(psi, PureState(psi.dims, amps)) >= 1.0 - 1e-15
 
 
 @pytest.mark.parametrize(

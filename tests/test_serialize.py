@@ -136,6 +136,39 @@ class TestErrors:
         assert path.read_bytes() == before
 
 
+class TestReplacing:
+    """``_replacing`` puts every staged text in place at the end of its block, or none."""
+
+    def test_every_target_replaced_at_the_end(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text("old a")
+        with serialize._replacing() as stage:
+            stage(a, "new a")
+            stage(b, "new b")
+            assert a.read_text() == "old a" and not b.exists()
+        assert (a.read_text(), b.read_text()) == ("new a", "new b")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+    def test_an_exception_leaves_every_target(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text("old a")
+        with pytest.raises(KeyboardInterrupt):
+            with serialize._replacing() as stage:
+                stage(a, "new a")
+                stage(b, "new b")
+                raise KeyboardInterrupt
+        assert a.read_text() == "old a"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_a_failed_stage_removes_the_earlier_ones(self, tmp_path):
+        a = tmp_path / "a.json"
+        with pytest.raises(FileNotFoundError):
+            with serialize._replacing() as stage:
+                stage(a, "new a")
+                stage(tmp_path / "missing" / "b.json", "new b")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestStringData:
     """Numbers written as JSON strings or booleans are refused, as in dims and spacings."""
 
