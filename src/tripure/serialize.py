@@ -8,24 +8,31 @@ and the writer is fully deterministic: identical objects serialize to
 identical bytes.
 
 Number text is most of the cost of a large file, so both directions
-convert each number once.  A density matrix holds each off-diagonal
-number twice, rho_ji = conj(rho_ij): when the two triangles are bitwise
-conjugates, the writer formats only the upper one and writes each
-mirrored pair from its partner's text.  The reader parses a data block
-in exactly the writer's layout, every number in the writer's
-``d.ddd...e+dd`` shape, as flat arrays of numbers converted by orjson, a
-chunk of rows at a time; any other text takes the general nested parse
-by ``json``, with the same results and the same errors.
+convert each number once, in numpy.  The writer formats a block of floats
+at a time: a float whose 17 digits one extended-precision product
+certifies, and every zero, is laid out from digit tables, and every
+other float (subnormals, very small or large magnitudes, non-finite
+values, near-ties) by ``"%.16e"`` itself, so the bytes are those of
+formatting every float with ``"%.16e"``.  Where ``long double`` has no
+64-bit significand every nonzero float takes ``"%.16e"``: the same bytes,
+slower.  The reader parses a data block in exactly the writer's layout,
+every number in the writer's ``d.ddd...e+dd`` shape, as flat arrays of
+numbers converted by orjson, a chunk of rows at a time; any other text
+takes the general nested parse by ``json``, with the same results and
+the same errors.
 
 Every file a command writes goes through ``_replacing``: a target is
-either left as it was or holds the whole new text.
+either left as it was or holds the whole new text.  A data file is
+written a block of rows at a time as it is formatted.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import stat
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 
 import numpy as np
@@ -39,58 +46,115 @@ KIND_DENSITY = "density_matrix"
 KIND_GRID = "grid_wavefunction"
 
 
-def _is_mirror(a: np.ndarray) -> bool:
-    """Whether complex square ``a`` has a strict lower triangle bitwise equal to conj(a.T)'s."""
-    lower = np.tril_indices(len(a), -1)
-    return np.array_equal(a[lower].view(np.uint64), a.T[lower].conj().view(np.uint64))
+# ``"%.16e" % v`` is "d.ddd...e+kk": the 17 digits D = round(|v| * 10^(16-k))
+# with k = floor(log10 |v|), where D = 10^17 would carry to 10^16 and k + 1.  For
+# 1e-11 <= |v| < 1e17, 10^(16-k) is exact in a long double with a 64-bit
+# significand, and the product y = |v| * 10^(16-k), rounded once to it, is
+# within 10^17 * u of the exact one (u = eps / 2, the unit roundoff).  So
+# D = rint(y) unless y is that close to a half-integer.  Zeros are exact
+# (D = 0, k = 0).  Every other float without this certificate (subnormals,
+# |v| outside the range, non-finite values and near-ties) is formatted by
+# ``"%.16e"`` itself: the certificate only picks which exact method writes
+# a float.  Without such a long double every nonzero float takes ``"%.16e"``.
+_LONG = np.finfo(np.longdouble)
+_TIE_BAND = 1e17 * float(_LONG.eps) / 2 if _LONG.nmant == 63 else np.inf
+_K_MIN, _K_MAX = -11, 16
+# 10^0 .. 10^27, each an exact product of exact powers
+_POW10 = np.cumprod(np.r_[1, np.full(16 - _K_MIN, 10)].astype(np.longdouble))
+# ASCII "0000" .. "9999"; "d.", unsigned then signed; "e-11" .. "e+17": one uint32 each
+_QUADS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_QUADS = _QUADS.view(np.uint32).ravel()
+_HEADS = np.frombuffer(b"".join(b"%c%d.\0" % (s, i) for s in b"\0-" for i in range(10)), np.uint32)
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(_K_MIN, _K_MAX + 2)), np.uint32)
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+# Each float is a field of 6 uint32 words (24 bytes, the longest "%.16e"
+# text), zero-padded; zero bytes are deleted once per block.
+_FIELD = 6
+# At most this many cells, whole rows, are formatted at a time.
+_BLOCK_CELLS = 1 << 14
 
 
-def _mirrored_text(a: np.ndarray) -> str:
-    """``_data_text`` of a matrix that ``_is_mirror`` accepts, formatting only its upper triangle.
+def _certify(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(certified, D, k)`` for the floats ``x``: where certified, ``"%.16e"`` gives D and k."""
+    a = np.abs(x)
+    fast = (a >= 10.0**_K_MIN) & (a < 10.0 ** (_K_MAX + 1))  # False for nan
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)  # off by one near a power of ten
+    a = a.astype(np.longdouble)
+    y = a * _POW10[np.clip(16 - k, 0, len(_POW10) - 1)]
+    d = y.astype(np.int64)  # floor(y)
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    if len(off):
+        k[off] += np.where(d[off] < 10**16, -1, 1)
+        y[off] = a[off] * _POW10[np.clip(16 - k[off], 0, len(_POW10) - 1)]
+        d[off] = y[off].astype(np.int64)
+        fast[off] &= (d[off] >= 10**16) & (d[off] < 10**17)
+    frac = (y - d).astype(float)  # exact: y has at most 10 bits below the point
+    fast &= (k >= _K_MIN) & (k <= _K_MAX) & (np.abs(frac - 0.5) > _TIE_BAND)
+    d += frac > 0.5
+    fast &= d < 10**17  # a carry; no double in the range rounds up to one
+    zero = x == 0  # exact: "%.16e" writes +-0.0 as +-0.0000000000000000e+00
+    d[zero] = k[zero] = 0
+    return fast | zero, d, k
 
-    The upper-triangle pairs are filled in one ``%`` pass.  Row i left of
-    the diagonal is the text of column i above it with the sign of each
-    imaginary part toggled: negation flips only the sign bit, and for a
-    finite ``y`` ``"%.16e" % -y == "-" + "%.16e" % y``, so the bytes are
-    those of formatting every float.
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """``"%.16e" % v`` for each float of ``x``, as rows of ``_FIELD`` zero-padded uint32 words."""
+    certified, d, k = _certify(x)
+    lead = d // 10**16
+    high, low = np.divmod(d - lead * 10**16, 10**8)
+    fields = np.empty((len(x), _FIELD), np.uint32)
+    fields[:, 0] = _HEADS[lead + 10 * np.signbit(x)]
+    fields[:, 1:5] = _QUADS[np.stack([high // 10**4, high % 10**4, low // 10**4, low % 10**4], -1)]
+    fields[:, 5] = _EXPONENTS[np.clip(k - _K_MIN, 0, len(_EXPONENTS) - 1)]
+    slow = np.flatnonzero(~certified)
+    if len(slow):
+        text = ("%-24.16e" * len(slow)) % tuple(x[slow].tolist())
+        text = text.encode("ascii").translate(_SPACE_TO_NUL)
+        fields[slow] = np.frombuffer(text, np.uint32).reshape(-1, _FIELD)
+    return fields
+
+
+def _data_pieces(a: np.ndarray) -> Iterator[str]:
+    """Yield the canonical text of a complex vector (a pair per line) or matrix (a row per line).
+
+    Each block of at most ``_BLOCK_CELLS`` cells, whole rows, is laid out
+    as rows of uint32 words: ",\n    " (and "[" for a matrix), then per
+    entry a cell of 15 words, "[re, im]" with each float a ``_float_fields``
+    field, then the separator.  Every gap is zero bytes, deleted once per
+    block; the very first row also drops its ",".
     """
-    n = len(a)
-    values = a[np.triu_indices(n)]
-    cells = "\n".join(["[%.16e, %.16e]"] * len(values)) % tuple(
-        np.stack([values.real, values.imag], -1).ravel().tolist()
-    )
-    cells = np.array(cells.split("\n"), dtype=object)
-    # row i's cells (i, i), ..., (i, n - 1) start at first[i]; (j, i) is at first[j] + i - j
-    first = np.concatenate(([0], np.cumsum(np.arange(n, 1, -1))))
-    rows = ["[\n    [" + ", ".join(cells[:n])]
-    for i in range(1, n):
-        above = "\n".join(cells[first[:i] + i - np.arange(i)])
-        # ", -" before every imaginary part, then "--" (only ever a doubled sign) cancels
-        left = above.replace(", ", ", -").replace("--", "").replace("\n", ", ")
-        rows.append(left + ", " + ", ".join(cells[first[i] : first[i] + n - i]))
-    del cells
-    rows[-1] += "]\n  ]"
-    return "],\n    [".join(rows)
+    gap = b"\0" * 4 * _FIELD
+    cell = b"[\0\0\0" + gap + b", \0\0" + gap
+    if a.ndim == 1:
+        cols, line = 1, b",\n    \0\0" + cell + b"]\0\0\0"
+    else:
+        cols = a.shape[1]
+        line = b",\n    [\0" + (cell + b"], \0") * (cols - 1) + cell + b"]]\0\0"
+    template = np.frombuffer(line, np.uint32)
+    step = max(1, _BLOCK_CELLS // cols)
+    yield "["
+    for start in range(0, a.shape[0], step):
+        block = np.ascontiguousarray(a[start : start + step], dtype=complex)
+        fields = _float_fields(block.view(float).reshape(-1)).reshape(len(block), cols, 2, _FIELD)
+        rows = np.empty((len(block), len(template)), np.uint32)
+        rows[:] = template
+        cells = rows[:, 2:].reshape(len(block), cols, 2 * _FIELD + 3)
+        cells[:, :, 1 : 1 + _FIELD] = fields[:, :, 0]
+        cells[:, :, 2 + _FIELD : 2 + 2 * _FIELD] = fields[:, :, 1]
+        if start == 0:
+            rows.view(np.uint8)[0, 0] = 0
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
+    yield "\n  ]"
 
 
 def _data_text(a: np.ndarray) -> str:
-    """Canonical text of a complex vector (one pair per line) or matrix (one row per line).
-
-    ``"%.16e"`` gives 17 significant digits, an exact round trip for IEEE
-    doubles.  A conjugate-symmetric matrix (``_is_mirror``) is written by
-    ``_mirrored_text``; anything else is filled in one pass over all its
-    floats.  Both give the same bytes.
-    """
-    if a.ndim == 2 and a.dtype == complex and a.shape[0] == a.shape[1] and _is_mirror(a):
-        return _mirrored_text(a)
-    pair = "[%.16e, %.16e]"
-    line = "    " + (pair if a.ndim == 1 else "[" + ", ".join([pair] * a.shape[1]) + "]")
-    floats = np.stack([a.real, a.imag], -1).ravel().tolist()
-    return ("[\n" + ",\n".join([line] * a.shape[0]) + "\n  ]") % tuple(floats)
+    """The whole of ``_data_pieces(a)``."""
+    return "".join(_data_pieces(a))
 
 
-def dumps(obj: PureState | DensityMatrix | GridWavefunction) -> str:
-    """Serialize a supported object to its canonical JSON text."""
+def _pieces(obj: PureState | DensityMatrix | GridWavefunction) -> Iterator[str]:
+    """The canonical JSON text of a supported object, as an iterator of ``str`` pieces."""
     if isinstance(obj, PureState):
         kind, data = KIND_PURE, obj.amplitudes
         header = [("dims", json.dumps(obj.dims.as_tuple()))]
@@ -104,14 +168,19 @@ def dumps(obj: PureState | DensityMatrix | GridWavefunction) -> str:
     else:
         raise ContractError(f"cannot serialize {type(obj).__name__}")
     head = "".join(f'  "{key}": {text},\n' for key, text in [("kind", json.dumps(kind)), *header])
-    # one join, so the data text is copied once
-    return "".join(["{\n", head, '  "data": ', _data_text(data), "\n}\n"])
+    return itertools.chain(["{\n", head, '  "data": '], _data_pieces(data), ["\n}\n"])
+
+
+def dumps(obj: PureState | DensityMatrix | GridWavefunction) -> str:
+    """Serialize a supported object to its canonical JSON text."""
+    return "".join(_pieces(obj))
 
 
 @contextmanager
 def _replacing():
     """Yield ``stage(path, text)``; when the block ends, every staged text replaces its target.
 
+    ``text`` is a ``str`` or an iterable of ``str`` pieces, written in turn.
     ``stage`` writes the text to a new file beside the target, created with
     ``O_EXCL`` and mode ``0o666`` so the umask applies as for
     ``open(path, "w")``; an existing regular target passes on its
@@ -125,14 +194,15 @@ def _replacing():
     """
     staged: list[tuple[str, str]] = []
 
-    def stage(path, text: str) -> None:
+    def stage(path, text: str | Iterable[str]) -> None:
+        pieces = [text] if isinstance(text, str) else text
         try:
             mode = os.stat(path).st_mode
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             return
         target = os.path.realpath(path)
         head, tail = os.path.split(target)
@@ -142,7 +212,7 @@ def _replacing():
         with open(fd, "w", encoding="utf-8") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            fh.write(text)
+            fh.writelines(pieces)
 
     try:
         yield stage
@@ -158,12 +228,13 @@ def _replacing():
 def write_matrix_file(path, obj) -> None:
     """Write ``dumps(obj)`` to ``path`` through ``_replacing``.
 
-    The text is made before any file is created, and a failed write leaves
-    ``path`` as it was.
+    The data block is written a block of rows at a time as it is
+    formatted, so no string the size of the file is made.  An object that
+    cannot be serialized is refused before any file is created, and a
+    failed write leaves ``path`` as it was.
     """
-    text = dumps(obj)
     with _replacing() as stage:
-        stage(path, text)
+        stage(path, _pieces(obj))
 
 
 def _as_complex(data, ndim: int) -> np.ndarray:

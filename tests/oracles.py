@@ -223,9 +223,8 @@ def data_text_every_float(a):
     """The canonical data text of a complex vector or matrix, formatting every float.
 
     One ``"%.16e"`` per float, pair by pair in scalar loops: one pair per
-    line for a vector, one row per line for a matrix.  It is the plain
-    layout that ``serialize`` must reproduce whether it formats every
-    float or only a matrix's upper triangle.
+    line for a vector, one row per line for a matrix.  It is the layout
+    that ``serialize``'s numpy writer must reproduce byte for byte.
     """
 
     def pair(z):

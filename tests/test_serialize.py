@@ -1,4 +1,5 @@
 import decimal
+import fractions
 import json
 import math
 import subprocess
@@ -20,7 +21,7 @@ from tripure import (
 )
 from tripure import serialize
 from tripure.serialize import dumps, loads, read_matrix_file, write_matrix_file
-from tripure.tomography import build_profile
+from tripure.tomography import GridWavefunction, build_profile
 
 from conftest import haar, peak_bytes
 from oracles import data_text_every_float
@@ -282,8 +283,7 @@ GOLDEN_DENSITY = """{
 }
 """
 
-# Real-valued: its imaginary parts are +0.0 on both sides of the diagonal,
-# so it is not a bitwise mirror and takes the writer's plain path.
+# Real-valued: its imaginary parts are +0.0 on both sides of the diagonal.
 GOLDEN_REAL_DENSITY = """{
   "kind": "density_matrix",
   "dims": [3],
@@ -342,10 +342,12 @@ class TestGoldenBytes:
         # every value, a negative zero real part included, is written again unchanged
         assert dumps(back) == text
 
-    def test_density_goldens_pin_both_writer_paths(self):
-        objects = dict(zip(GOLDEN_IDS, (obj for obj, _ in golden_objects())))
-        assert serialize._is_mirror(objects["density_matrix"].matrix)
-        assert not serialize._is_mirror(objects["real_density_matrix"].matrix)
+    def test_goldens_pin_both_writer_branches(self):
+        # the goldens hold floats with a certificate and floats written by "%.16e"
+        data = {PureState: "amplitudes", DensityMatrix: "matrix", GridWavefunction: "values"}
+        floats = [getattr(obj, data[type(obj)]).view(float).ravel() for obj, _ in golden_objects()]
+        certified = serialize._certify(np.concatenate(floats))[0]
+        assert certified.any() and not certified.all()
 
     def test_negative_zero_reads_back_negative(self):
         back = loads(GOLDEN_PURE)
@@ -354,8 +356,8 @@ class TestGoldenBytes:
         assert dumps(loads(GOLDEN_PURE)) == GOLDEN_PURE
 
 
-# Bit patterns a mirrored pair must carry through its sign toggle: signed
-# zeros, subnormals, the extremes of the normal range and plain values.
+# Bit patterns the writer must carry: signed zeros, subnormals, the
+# extremes of the normal range and plain values.
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308,
                1.0, -1.0 / 3, 0.1, 123456.789]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
@@ -378,20 +380,19 @@ def square_matrices(draw):
         # the same value but another bit pattern: the sign of a zero, or the next float
         flip = draw(st.sampled_from(["real", "imag"]))
         part = a[i, j].real if flip == "real" else a[i, j].imag
-        moved = -part if part == 0.0 else np.nextafter(part, np.inf)
+        moved = -part if part == 0.0 else math.nextafter(part, math.inf)  # inf past the largest
         a[i, j] = complex(moved, a[i, j].imag) if flip == "real" else complex(a[i, j].real, moved)
         return a, False
     return a, True
 
 
 class TestWriterDifferential:
-    """The mirrored writer writes the bytes of formatting every float."""
+    """The writer writes the bytes of formatting every float with "%.16e"."""
 
     @settings(max_examples=200)
     @given(case=square_matrices())
     def test_matrix_text_equals_every_float_layout(self, case):
-        a, mirror = case
-        assert serialize._is_mirror(a) == mirror
+        a, _ = case
         assert serialize._data_text(a) == data_text_every_float(a)
 
     @settings(max_examples=50)
@@ -400,14 +401,116 @@ class TestWriterDifferential:
         a = np.array([complex(re, im) for re, im in values])
         assert serialize._data_text(a) == data_text_every_float(a)
 
+    # The last three span several blocks of the writer: a 512 x 512 marginal
+    # (16 blocks), a 300 x 300 one (a partial last block) and a state of
+    # 32,768 amplitudes (two blocks); ``keep=None`` writes the state itself.
     @pytest.mark.parametrize("dims, keep", [((2, 3, 4), ("A", "B")), ((3, 3, 3), ("B", "C")),
-                                            ((2, 2, 1), ("A",)), ((4, 8, 2), ("B", "C"))])
+                                            ((2, 2, 1), ("A",)), ((4, 8, 2), ("B", "C")),
+                                            ((8, 64, 8), ("A", "B")), ((3, 100, 1), ("A", "B")),
+                                            ((8, 64, 64), None)])
     def test_dumps_of_a_marginal(self, dims, keep):
-        rho = partial_trace(sample_haar_state(Dims(*dims), 21), keep)
-        assert serialize._is_mirror(rho.matrix)
+        psi = sample_haar_state(Dims(*dims), 21)
+        if keep is None:
+            header = f'{{\n  "kind": "pure_state",\n  "dims": {json.dumps(dims)},\n  "data": '
+            assert dumps(psi) == header + data_text_every_float(psi.amplitudes) + "\n}\n"
+            return
+        rho = partial_trace(psi, keep)
         header = (f'{{\n  "kind": "density_matrix",\n  "dims": {json.dumps(rho.dims)},\n'
                   f'  "subsystems": {json.dumps(rho.subsystems)},\n  "data": ')
         assert dumps(rho) == header + data_text_every_float(rho.matrix) + "\n}\n"
+
+
+def every_float_text(x):
+    """``"%.16e" % v`` for each float of ``x``, one per line."""
+    return "\n".join(["%.16e"] * len(x)) % tuple(x.tolist())
+
+
+def kernel_text(x):
+    """The writer's text for each float of ``x``, one per line."""
+    fields = serialize._float_fields(np.asarray(x, dtype=float)).tobytes()
+    return b"\n".join(fields[i : i + 24] for i in range(0, len(fields), 24)).translate(
+        None, b"\0").decode("ascii")
+
+
+def exact_ties():
+    """Doubles whose 17-digit scaling y = |v| * 10^(16-k) is an exact half-integer.
+
+    y = (2D + 1) / 2 with D of 17 digits; v = q * 2^(k-17) is a double when
+    q = (2D + 1) / 5^(16-k) is an odd integer below 2^53, at k = -8 .. 14.
+    """
+    rng = np.random.default_rng(9)
+    ties = [123456789012345.625]
+    for k in range(-8, 15):
+        low, high = 2 * 10**16 // 5 ** (16 - k) + 1, min(2 * 10**17 // 5 ** (16 - k), 2**53)
+        for q in rng.integers(low, high, size=8).tolist():
+            v = math.ldexp(q | 1, k - 17)
+            if math.floor(math.log10(v)) == k:
+                ties += [v, -v]
+    return ties
+
+
+class TestFloatKernel:
+    """The writer's numpy kernel gives ``"%.16e" % v`` for every float."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            x = rng.integers(0, 1 << 64, size=1 << 17, dtype=np.uint64).view(float)
+            x = x[np.isfinite(x)]
+            assert kernel_text(x) == every_float_text(x)
+
+    def test_random_values_in_the_certified_range(self):
+        # random bit patterns are mostly far outside [1e-11, 1e17)
+        rng = np.random.default_rng(18)
+        x = 10.0 ** rng.uniform(-12, 17.5, size=1 << 18) * rng.choice([-1.0, 1.0], size=1 << 18)
+        assert kernel_text(x) == every_float_text(x)
+
+    def test_edges_and_powers_of_ten(self):
+        tiny, huge = 5e-324, 1.7976931348623157e308
+        x = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072014e-308, huge, -huge]
+        for e in range(-12, 18):
+            p = float(f"1e{e}")
+            x += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+        x += [-v for v in x]
+        assert kernel_text(x) == every_float_text(np.array(x))
+
+    def test_no_double_in_range_rounds_up_to_a_carry(self):
+        # the largest double below each power of ten is more than half a unit
+        # of the 17th digit below it, so the kernel never meets D = 10^17
+        ten = fractions.Fraction(10)
+        for j in range(-11, 18):
+            below = 10.0**j if fractions.Fraction(10.0**j) < ten**j else math.nextafter(10.0**j, 0)
+            assert 10**17 - fractions.Fraction(below) * ten ** (17 - j) > fractions.Fraction(1, 2)
+
+    def test_exact_ties_round_half_even(self):
+        ties = exact_ties()
+        assert len(ties) > 100
+        for v in ties:
+            k = math.floor(math.log10(abs(v)))
+            y = fractions.Fraction(abs(v)) * fractions.Fraction(10) ** (16 - k)
+            assert y.denominator == 2
+        certified = serialize._certify(np.array(ties))[0]
+        assert not certified.any()
+        assert kernel_text(ties) == every_float_text(np.array(ties))
+
+    def test_non_finite_values(self):
+        a = np.array([complex(np.nan, np.inf), complex(-np.inf, 1.0), complex(0.5, -np.nan)])
+        assert serialize._data_text(a) == data_text_every_float(a)
+        assert serialize._data_text(a.reshape(1, 3)) == data_text_every_float(a.reshape(1, 3))
+
+    def test_every_float_through_percent_gives_the_same_bytes(self):
+        # with no certificate every nonzero float is written by "%.16e" itself
+        objects = [obj for obj, _ in golden_objects()]
+        for dims in [(2, 3, 4), (3, 3, 3), (4, 8, 2), (2, 2, 8)]:
+            psi = sample_haar_state(Dims(*dims), 23)
+            objects += [psi] + [partial_trace(psi, keep) for keep in [("A", "B"), ("B", "C"), ("C",)]]
+        objects.append(build_profile("correlated", (4, 4, 4)))
+        texts = [dumps(obj) for obj in objects]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_TIE_BAND", math.inf)
+            assert serialize._certify(np.array([0.5, 1.0 / 3.0, 0.0]))[0].tolist() == [
+                False, False, True]
+            assert [dumps(obj) for obj in objects] == texts
 
 
 def read_outcome(text, flat=True, chunk=None):
