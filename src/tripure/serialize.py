@@ -12,14 +12,14 @@ convert each number once, in numpy.  The writer formats a block of floats
 at a time: a float whose 17 digits one extended-precision product
 certifies, and every zero, is laid out from digit tables, and every
 other float (subnormals, very small or large magnitudes, non-finite
-values, near-ties) by ``"%.16e"`` itself, so the bytes are those of
-formatting every float with ``"%.16e"``.  Where ``long double`` has no
-64-bit significand every nonzero float takes ``"%.16e"``: the same bytes,
-slower.  The reader parses a data block in exactly the writer's layout,
-every number in the writer's ``d.ddd...e+dd`` shape, as flat arrays of
-numbers converted by orjson, a chunk of rows at a time; any other text
-takes the general nested parse by ``json``, with the same results and
-the same errors.
+values, products that round to a half-integer) by ``"%.16e"`` itself, so
+the bytes are those of formatting every float with ``"%.16e"``.  Where
+``long double`` has no 64-bit significand every nonzero float takes
+``"%.16e"``: the same bytes, slower.  The reader parses a data block in
+exactly the writer's layout, every number in the writer's ``d.ddd...e+dd``
+shape, as flat arrays of numbers converted by orjson, a chunk of rows at
+a time; any other text takes the general nested parse by ``json``, with
+the same results and the same errors.
 
 Every file a command writes goes through ``_replacing``: a target is
 either left as it was or holds the whole new text.  A data file is
@@ -49,15 +49,15 @@ KIND_GRID = "grid_wavefunction"
 # ``"%.16e" % v`` is "d.ddd...e+kk": the 17 digits D = round(|v| * 10^(16-k))
 # with k = floor(log10 |v|), where D = 10^17 would carry to 10^16 and k + 1.  For
 # 1e-11 <= |v| < 1e17, 10^(16-k) is exact in a long double with a 64-bit
-# significand, and the product y = |v| * 10^(16-k), rounded once to it, is
-# within 10^17 * u of the exact one (u = eps / 2, the unit roundoff).  So
-# D = rint(y) unless y is that close to a half-integer.  Zeros are exact
-# (D = 0, k = 0).  Every other float without this certificate (subnormals,
-# |v| outside the range, non-finite values and near-ties) is formatted by
-# ``"%.16e"`` itself: the certificate only picks which exact method writes
-# a float.  Without such a long double every nonzero float takes ``"%.16e"``.
-_LONG = np.finfo(np.longdouble)
-_TIE_BAND = 1e17 * float(_LONG.eps) / 2 if _LONG.nmant == 63 else np.inf
+# significand, and the product y = |v| * 10^(16-k) is rounded once to it.
+# Rounding is monotone, and every integer and half-integer below 10^17 is such
+# a long double, so y lies on the same side of D + 1/2 as the exact product
+# unless y is exactly D + 1/2: D = rint(y) for every other y.  Zeros are exact
+# (D = 0, k = 0).  Every other float (subnormals, |v| outside the range,
+# non-finite values and half-integer y) is formatted by ``"%.16e"`` itself:
+# the certificate only picks which exact method writes a float.  Without
+# such a long double every nonzero float takes ``"%.16e"``.
+_CERTIFIES = np.finfo(np.longdouble).nmant == 63
 _K_MIN, _K_MAX = -11, 16
 # 10^0 .. 10^27, each an exact product of exact powers
 _POW10 = np.cumprod(np.r_[1, np.full(16 - _K_MIN, 10)].astype(np.longdouble))
@@ -90,7 +90,7 @@ def _certify(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d[off] = y[off].astype(np.int64)
         fast[off] &= (d[off] >= 10**16) & (d[off] < 10**17)
     frac = (y - d).astype(float)  # exact: y has at most 10 bits below the point
-    fast &= (k >= _K_MIN) & (k <= _K_MAX) & (np.abs(frac - 0.5) > _TIE_BAND)
+    fast &= (k >= _K_MIN) & (k <= _K_MAX) & (frac != 0.5) & _CERTIFIES
     d += frac > 0.5
     fast &= d < 10**17  # a carry; no double in the range rounds up to one
     zero = x == 0  # exact: "%.16e" writes +-0.0 as +-0.0000000000000000e+00
@@ -146,11 +146,6 @@ def _data_pieces(a: np.ndarray) -> Iterator[str]:
             rows.view(np.uint8)[0, 0] = 0
         yield rows.tobytes().translate(None, b"\0").decode("ascii")
     yield "\n  ]"
-
-
-def _data_text(a: np.ndarray) -> str:
-    """The whole of ``_data_pieces(a)``."""
-    return "".join(_data_pieces(a))
 
 
 def _pieces(obj: PureState | DensityMatrix | GridWavefunction) -> Iterator[str]:
@@ -337,15 +332,16 @@ def loads(text: str) -> PureState | DensityMatrix | GridWavefunction:
         raise ContractError("top-level JSON value must be an object")
     kind = doc.get("kind")
     try:
-        # Sizes and spacings go to the constructors as parsed; they reject
-        # anything but positive integers and positive finite reals, and
-        # check the data's shape against them.
+        # Sizes, spacings and labels go to the constructors as parsed; they
+        # reject anything but positive integers, positive finite reals and
+        # "A", "B", "C", and check the data's shape against them.
         if kind == KIND_PURE:
             dims = Dims(*doc["dims"])
             return PureState(dims, _as_complex(doc["data"], 1))
         if kind == KIND_DENSITY:
-            subsystems = tuple(str(s) for s in doc["subsystems"])
-            return DensityMatrix(subsystems, doc["dims"], _as_complex(doc["data"], 2))
+            if not isinstance(doc["subsystems"], list):
+                raise ContractError(f"subsystems must be a JSON array, got {doc['subsystems']!r}")
+            return DensityMatrix(doc["subsystems"], doc["dims"], _as_complex(doc["data"], 2))
         if kind == KIND_GRID:
             return GridWavefunction(doc["dims"], doc["spacings"], _as_complex(doc["data"], 1))
     except KeyError as exc:

@@ -291,16 +291,16 @@ class DensityMatrix:
     Positive semidefiniteness is accepted first from a range sketch whose
     residual certifies ``lambda_min >= -PSD_TOL / 2`` (``_psd_by_sketch``),
     which settles a large low-rank matrix in O(n^2 k).  Otherwise it is
-    accepted from a Cholesky factorization of ``M + PSD_TOL * I``, one copy
-    of the matrix with its diagonal shifted; only when that fails is the
-    smallest eigenvalue computed and compared with ``-PSD_TOL``.
+    accepted from a Cholesky factorization of ``M + PSD_TOL * I``, the
+    diagonal shifted in place and then restored bit for bit; only when that
+    fails is the smallest eigenvalue computed and compared with ``-PSD_TOL``.
 
-    The symmetrization works in place in the stored matrix, as in
-    ``_derived``, and the Hermitian check and the sketch residual run over
-    row blocks (``_row_blocks``), so apart from the Cholesky copy no n x n
-    temporary is held beyond the stored matrix.  The residual is a
-    blocked sum of squares, not bitwise ``np.linalg.norm``; it is only
-    compared with tolerances.
+    The symmetrization works in place in the stored matrix, and the
+    Hermitian check and the sketch residual run over row blocks
+    (``_row_blocks``), so no n x n temporary is held beyond the stored
+    matrix and the Cholesky factor.  The residual is a blocked sum of
+    squares, not bitwise ``np.linalg.norm``; it is only compared with
+    tolerances.
 
     The stored matrix is read-only.  A certifying sketch is kept, eigenpairs
     and residual norm, in the private ``_sketch`` attribute, which takes no
@@ -336,16 +336,19 @@ class DensityMatrix:
             raise ContractError(f"trace {complex(tr)!r} deviates from 1 by more than {TRACE_TOL}")
         sketch = _psd_by_sketch(m)
         if sketch is None:
-            shifted = m.copy()
-            shifted.flat[:: n + 1] += PSD_TOL
+            diagonal = m.diagonal().copy()
+            m.flat[:: n + 1] += PSD_TOL
             try:
-                np.linalg.cholesky(shifted)
+                np.linalg.cholesky(m)
             except np.linalg.LinAlgError:
+                m.flat[:: n + 1] = diagonal
                 lam_min = np.linalg.eigvalsh(m)[0]
                 if lam_min < -PSD_TOL:
                     raise ContractError(
                         f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}"
                     ) from None
+            else:
+                m.flat[:: n + 1] = diagonal
         m.flags.writeable = False
         object.__setattr__(self, "subsystems", subs)
         object.__setattr__(self, "dims", dims)
@@ -354,19 +357,17 @@ class DensityMatrix:
 
     @classmethod
     def _derived(cls, subsystems: tuple[str, ...], dims: tuple[int, ...], m: np.ndarray):
-        """Wrap a matrix derived from validated states without re-running the checks.
+        """Wrap ``m``, derived from validated states, read-only as given: no check is re-run.
 
-        Partial traces and convex combinations of density matrices are
-        density matrices, so only the symmetrization is repeated.
+        Partial traces and averages of density matrices are density
+        matrices, and exactly Hermitian as summed: conjugation commutes with
+        each addition, and both entries of a pair are summed in the same order.
         """
         rho = object.__new__(cls)
         object.__setattr__(rho, "subsystems", subsystems)
         object.__setattr__(rho, "dims", tuple(int(d) for d in dims))
-        mh = np.conjugate(m.T, order="C")
-        mh += m
-        mh /= 2.0
-        mh.flags.writeable = False
-        object.__setattr__(rho, "matrix", mh)
+        m.flags.writeable = False
+        object.__setattr__(rho, "matrix", m)
         return rho
 
     @property
@@ -403,20 +404,24 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     -------
     DensityMatrix over the kept subsystems, in canonical A < B < C order.
 
-    The partial trace of a validated state is a density matrix, so the
-    result is only symmetrized, not re-validated.  Inputs at the edge of
-    their tolerances pass that slack on unchecked: a PureState whose norm is
-    off by ``NORM_TOL`` reduces to a trace off by about ``2 * NORM_TOL``, and
-    a DensityMatrix within ``PSD_TOL`` of the positive-semidefinite boundary
-    can reduce to an eigenvalue slightly below ``-PSD_TOL``.
+    The partial trace of a validated state is a density matrix, so it is
+    not re-validated; a PureState's, a matrix product, is only symmetrized.
+    Inputs at the edge of their tolerances pass that slack on unchecked: a
+    PureState whose norm is off by ``NORM_TOL`` reduces to a trace off by
+    about ``2 * NORM_TOL``, and a DensityMatrix within ``PSD_TOL`` of the
+    positive-semidefinite boundary can reduce to an eigenvalue below ``-PSD_TOL``.
     """
     if isinstance(state, PureState):
         kept = _canonical_keep(keep, SUBSYSTEM_LABELS)
         keep_ax = [SUBSYSTEM_LABELS.index(s) for s in kept]
         traced_ax = [ax for ax in range(3) if ax not in keep_ax]
         t = state.as_tensor()
-        reduced = np.tensordot(t, t.conj(), axes=(traced_ax, traced_ax))
         kept_dims = tuple(state.dims.as_tuple()[ax] for ax in keep_ax)
+        product = np.tensordot(t, t.conj(), axes=(traced_ax, traced_ax))
+        product = product.reshape(math.prod(kept_dims), -1)
+        reduced = np.conjugate(product.T, order="C")
+        reduced += product
+        reduced /= 2.0
     elif isinstance(state, DensityMatrix):
         available = state.subsystems
         kept = _canonical_keep(keep, available)

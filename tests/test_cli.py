@@ -346,6 +346,20 @@ class TestMalformedDimsFile:
         assert not out.exists() and not report.exists()
 
 
+class TestMalformedSubsystemsFile:
+    def test_reconstruct_exit_2_with_one_error_line(self, tmp_path, capsys):
+        ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 4), "m")
+        doc = json.loads(ab.read_text())
+        doc["subsystems"] = "AB"
+        ab.write_text(json.dumps(doc))
+        out = tmp_path / "never.json"
+        code = main(["reconstruct", "--ab", str(ab), "--bc", str(bc), "--dims", "2,2,2",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: subsystems must be a JSON array, got 'AB'\n"
+        assert not out.exists()
+
+
 def parse_strict(path):
     """The JSON in ``path``; NaN and infinities are refused, not read."""
 

@@ -260,6 +260,26 @@ class TestMalformedDims:
         assert loads(dumps(psi)).dims == Dims(2, 1, 3)
 
 
+class TestMalformedSubsystems:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("AB", "subsystems must be a JSON array, got 'AB'"),
+            ({"A": 0, "B": 1}, "subsystems must be a JSON array, got {'A': 0, 'B': 1}"),
+            (None, "subsystems must be a JSON array, got None"),
+            ([1, "B"], "subsystems must be one of ('A', 'B', 'C'), got 1"),
+            (["A", ["B"]], "subsystems must be one of ('A', 'B', 'C'), got ['B']"),
+        ],
+    )
+    def test_loads_rejects_without_coercion(self, bad, message):
+        doc = json.loads(dumps(partial_trace(sample_haar_state(Dims(2, 2, 2), 5), ("A", "B"))))
+        loads(json.dumps(doc))  # loads with the well-formed subsystems
+        doc["subsystems"] = bad
+        with pytest.raises(ContractError) as caught:
+            loads(json.dumps(doc))
+        assert str(caught.value) == message
+
+
 # The canonical layout, pinned byte for byte: a negative zero and a
 # subnormal in a pure state, a 2x2 density matrix and a small grid.
 GOLDEN_PURE = """{
@@ -393,13 +413,13 @@ class TestWriterDifferential:
     @given(case=square_matrices())
     def test_matrix_text_equals_every_float_layout(self, case):
         a, _ = case
-        assert serialize._data_text(a) == data_text_every_float(a)
+        assert "".join(serialize._data_pieces(a)) == data_text_every_float(a)
 
     @settings(max_examples=50)
     @given(values=st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=8))
     def test_vector_text_equals_every_float_layout(self, values):
         a = np.array([complex(re, im) for re, im in values])
-        assert serialize._data_text(a) == data_text_every_float(a)
+        assert "".join(serialize._data_pieces(a)) == data_text_every_float(a)
 
     # The last three span several blocks of the writer: a 512 x 512 marginal
     # (16 blocks), a 300 x 300 one (a partial last block) and a state of
@@ -493,10 +513,28 @@ class TestFloatKernel:
         assert not certified.any()
         assert kernel_text(ties) == every_float_text(np.array(ties))
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="needs a 64-bit long double")
+    def test_near_ties_are_certified(self):
+        # y rounded once lands within 10^17 * 2^-64 of a half-integer but not on one;
+        # the exact product is then on the same side of the half-integer
+        rng = np.random.default_rng(19)
+        x = rng.uniform(1.0, 1.6, size=1 << 14) * rng.choice([-1.0, 1.0], size=1 << 14)
+        y = np.abs(x).astype(np.longdouble) * np.longdouble(10**16)
+        d = np.floor(y)
+        frac = (y - d).astype(float)
+        near = (np.abs(frac - 0.5) <= 1e17 * 2.0**-64) & (frac != 0.5)
+        assert near.sum() > 50
+        for v, digits, above in zip(x[near].tolist(), d[near].astype(np.int64).tolist(),
+                                    (frac[near] > 0.5).tolist()):
+            exact = fractions.Fraction(abs(v)) * 10**16
+            assert (exact > digits + fractions.Fraction(1, 2)) == above
+        assert serialize._certify(x[near])[0].all()
+        assert kernel_text(x[near]) == every_float_text(x[near])
+
     def test_non_finite_values(self):
         a = np.array([complex(np.nan, np.inf), complex(-np.inf, 1.0), complex(0.5, -np.nan)])
-        assert serialize._data_text(a) == data_text_every_float(a)
-        assert serialize._data_text(a.reshape(1, 3)) == data_text_every_float(a.reshape(1, 3))
+        assert "".join(serialize._data_pieces(a)) == data_text_every_float(a)
+        assert "".join(serialize._data_pieces(a.reshape(1, 3))) == data_text_every_float(a.reshape(1, 3))
 
     def test_every_float_through_percent_gives_the_same_bytes(self):
         # with no certificate every nonzero float is written by "%.16e" itself
@@ -507,7 +545,7 @@ class TestFloatKernel:
         objects.append(build_profile("correlated", (4, 4, 4)))
         texts = [dumps(obj) for obj in objects]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(serialize, "_TIE_BAND", math.inf)
+            mp.setattr(serialize, "_CERTIFIES", False)
             assert serialize._certify(np.array([0.5, 1.0 / 3.0, 0.0]))[0].tolist() == [
                 False, False, True]
             assert [dumps(obj) for obj in objects] == texts

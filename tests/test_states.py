@@ -1,8 +1,11 @@
+import itertools
 import os
 import platform
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripure import (
     ContractError,
@@ -131,6 +134,97 @@ class TestPartialTrace:
         p_a = purity(partial_trace(psi, ("A",)))
         p_bc = purity(partial_trace(psi, ("B", "C")))
         assert abs(p_a - p_bc) <= 1e-10
+
+
+def symmetrized(m):
+    """(M + M^dag) / 2, formed as ``DensityMatrix`` validation forms it."""
+    mh = np.conjugate(m.T, order="C")
+    mh += m
+    mh /= 2.0
+    return mh
+
+
+@st.composite
+def density_matrices(draw):
+    """A validated DensityMatrix on 1 to 3 subsystems of 1 to 4 levels each.
+
+    A random Gram matrix scaled to trace one, made non-Hermitian by up to
+    1e-12 or made real with imaginary zeros of random sign, so validation's
+    symmetrization meets rounding and signed zeros.
+    """
+    subs = draw(st.sampled_from(["A", "B", "C", "AB", "AC", "BC", "ABC"]))
+    dims = tuple(draw(st.integers(1, 4)) for _ in subs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(np.prod(dims))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kind = draw(st.sampled_from(["complex", "real", "perturbed"]))
+    if kind == "real":
+        g = g.real
+    m = (g @ g.conj().T).astype(complex)
+    m /= m.trace().real
+    if kind == "real":
+        m.imag = np.copysign(0.0, rng.standard_normal((n, n)))
+    elif kind == "perturbed":
+        m += 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return DensityMatrix(tuple(subs), dims, m)
+
+
+def unchanged_by_symmetrizing(m):
+    return np.array_equal(m, m.conj().T) and symmetrized(m).tobytes() == m.tobytes()
+
+
+class TestDerivedMatricesAreExactlyHermitian:
+    """Derived density matrices are stored as computed, so they must already be exactly Hermitian.
+
+    Exactly: equal to the conjugate transpose, and unchanged bit for bit,
+    signed zeros included, by (M + M^dag) / 2.
+    """
+
+    @settings(max_examples=150)
+    @given(rho=density_matrices())
+    def test_every_partial_trace_of_a_density_matrix(self, rho):
+        subs = rho.subsystems
+        for size in range(1, len(subs)):
+            for keep in itertools.combinations(subs, size):
+                reduced = partial_trace(rho, keep)
+                assert unchanged_by_symmetrizing(reduced.matrix)
+                for inner in itertools.combinations(keep, size - 1):
+                    if inner:  # a derived matrix traced again
+                        assert unchanged_by_symmetrizing(partial_trace(reduced, inner).matrix)
+
+    @pytest.mark.parametrize("keep", ["A", "B", "C", "AB", "AC", "BC"])
+    def test_pure_state_partial_trace(self, keep):
+        assert unchanged_by_symmetrizing(partial_trace(haar(3, 4, 5, 41), keep).matrix)
+
+    @settings(max_examples=20)
+    @given(dims=st.tuples(*[st.integers(2, 4)] * 3), seed=st.integers(0, 2**32 - 1))
+    def test_every_matrix_reconstruct_derives(self, dims, seed):
+        psi = haar(*dims, seed)
+        rng = np.random.default_rng(seed)
+        inputs = []
+        for keep in ("AB", "BC"):
+            m = partial_trace(psi, keep).matrix
+            noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+            sizes = tuple(psi.dims.of(s) for s in keep)
+            inputs.append(DensityMatrix(tuple(keep), sizes, m + 1e-13 * noise))
+        derived = []
+        real = DensityMatrix._derived.__func__
+
+        def spy(cls, subsystems, dims, m):
+            derived.append(m)
+            return real(cls, subsystems, dims, m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DensityMatrix, "_derived", classmethod(spy))
+            reconstruct_tripartite(*inputs, psi.dims)
+        assert len(derived) >= 5  # rho_A, rho_B twice, rho_C, and their average rho_B
+        for m in derived:
+            assert unchanged_by_symmetrizing(m)
+
+    def test_derived_stores_the_given_array_read_only(self):
+        m = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix._derived(("A",), (2,), m)
+        assert rho.matrix is m and not m.flags.writeable
 
 
 class TestFidelity:
@@ -420,6 +514,21 @@ class TestMemoryPeak:
     def test_validation_holds_only_the_stored_matrix(self):
         m = partial_trace(haar(4, 32, 32, 96), ("B", "C")).matrix.copy()
         assert peak_bytes(lambda: DensityMatrix(("B", "C"), (32, 32), m)) <= (16 + 6) * self.MIB
+
+    def test_cholesky_fallback_shifts_the_stored_matrix_in_place(self, monkeypatch):
+        # full rank, so the sketch cannot certify it: 4 MiB stored, 4 MiB factor
+        m = planted_matrix(512, 511, 0.0, seed=98)
+        calls = spy_calls(monkeypatch, "cholesky")
+        rho = None
+
+        def validate():
+            nonlocal rho
+            rho = DensityMatrix(("A",), (512,), m)
+
+        assert peak_bytes(validate) <= 8.5 * self.MIB
+        assert calls == [512]
+        assert rho._sketch is None
+        assert rho.matrix.tobytes() == symmetrized(m).tobytes()
 
     def test_lopsided_reconstruct_holds_no_large_temporary(self):
         psi = haar(4, 32, 32, 97)
