@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import AlgorithmError, ContractError
 from .reconstruct import ReconstructionConfig, _outcome_fields, reconstruct_tripartite
-from .states import Dims, PureState, _instance, _integer, fidelity, partial_trace
+from .states import Dims, PureState, _instance, _integer, _sequence, fidelity, partial_trace
 
 # Result fields that batch_stats aggregates over the successful trials only.
 _SUCCESS_FIELDS = ("fidelity", "marginal_residual_ab", "marginal_residual_bc",
@@ -54,6 +54,9 @@ def roundtrip(
     Algorithm errors are captured in the record's ``outcome`` rather than
     raised, so batch runs always complete.
     """
+    _instance("psi", psi, PureState)
+    if seed is not None:
+        seed = _integer("seed", seed, least=0)
     rho_ab = partial_trace(psi, ("A", "B"))
     rho_bc = partial_trace(psi, ("B", "C"))
     try:
@@ -96,6 +99,9 @@ def _quantiles(values: list[float | None]) -> dict[str, float] | None:
 
 def batch_stats(records: list[TrialRecord]) -> dict:
     """Deterministic JSON-ready aggregation of a record batch."""
+    records = _sequence("records", records)
+    for idx, r in enumerate(records):
+        _instance(f"records[{idx}]", r, TrialRecord)
     if not records:
         raise ContractError("cannot aggregate an empty record list")
     successes = [r for r in records if r.outcome == "success"]

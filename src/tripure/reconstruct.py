@@ -39,6 +39,7 @@ from .states import (
     _array,
     _choice,
     _instance,
+    _open_unit,
     _positive_real,
     _residual_norm,
     partial_trace,
@@ -56,7 +57,8 @@ class ReconstructionConfig:
 
     ``edge_tol`` is relative: an edge enters the phase graph when its weight
     exceeds ``edge_tol * max |weight|``.  All other tolerances are absolute
-    (``phase_tol`` in radians).
+    (``phase_tol`` in radians).  Each is a positive finite real, and
+    ``rank_threshold`` lies in (0, 1).
     """
 
     rank_threshold: float = 1e-10
@@ -68,7 +70,8 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, _positive_real(f.name, getattr(self, f.name)))
+            check = _open_unit if f.name == "rank_threshold" else _positive_real
+            object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,10 @@ def coefficient_tensors(
     span of the retained product basis (inconsistent inputs, or a rank
     threshold that truncated too much).
     """
-    d_a, d_b, d_c = dims.as_tuple()
+    for name, spec in (("spec_bc", spec_bc), ("spec_ab", spec_ab), ("spec_a", spec_a),
+                       ("spec_b", spec_b), ("spec_c", spec_c)):
+        _instance(name, spec, SpectralDecomposition)
+    d_a, d_b, d_c = _instance("dims", dims, Dims).as_tuple()
     if spec_a.original_dim != d_a or spec_b.original_dim != d_b or spec_c.original_dim != d_c:
         raise ContractError("single-party decompositions do not match dims")
     if spec_bc.original_dim != d_b * d_c or spec_ab.original_dim != d_a * d_b:
@@ -184,6 +190,7 @@ def phase_edges(coeffs: CoefficientTensors) -> np.ndarray:
     argument fixes the phase difference a_phases[i] - c_phases[k] and its
     magnitude measures how well that constraint is conditioned.
     """
+    _instance("coeffs", coeffs, CoefficientTensors)
     return np.einsum("ijk,kij->ik", coeffs.bc_overlaps.conj(), coeffs.ab_overlaps)
 
 
@@ -291,6 +298,10 @@ def assemble_state(
     the positive real axis (ties broken by lowest flat index), so equal
     states assemble to identical vectors.
     """
+    _instance("pairing", pairing, SpectrumPairing)
+    _instance("spec_a", spec_a, SpectralDecomposition)
+    _instance("spec_bc", spec_bc, SpectralDecomposition)
+    _instance("dims", dims, Dims)
     if spec_a.original_dim != dims.d_a or spec_bc.original_dim != dims.d_b * dims.d_c:
         raise ContractError("decompositions do not match dims")
     a_phases = _array("a_phases", a_phases, (spec_a.rank,), dtype=float)
@@ -315,6 +326,10 @@ def compatibility_residual(
     overlaps must equal the phased, eigenvalue-weighted AB overlaps entry by
     entry; the maximum absolute difference is returned.
     """
+    _instance("coeffs", coeffs, CoefficientTensors)
+    _instance("phases", phases, PhaseSolution)
+    _instance("spec_a", spec_a, SpectralDecomposition)
+    _instance("spec_c", spec_c, SpectralDecomposition)
     lhs = (
         np.exp(1j * phases.a_phases)[:, None, None]
         * np.sqrt(spec_a.eigenvalues)[:, None, None]

@@ -12,7 +12,8 @@ convert each number once, in numpy.  The writer formats a block of floats
 at a time: a float whose 17 digits one extended-precision product
 certifies, and every zero, is laid out from digit tables, and every
 other float (subnormals, very small or large magnitudes, non-finite
-values, products that round to a half-integer) by ``"%.16e"`` itself, so
+values, products that round to a half-integer, some floats just below a
+power of ten) by ``"%.16e"`` itself, so
 the bytes are those of formatting every float with ``"%.16e"``.  Where
 ``long double`` has no 64-bit significand every nonzero float takes
 ``"%.16e"``: the same bytes, slower.  The reader parses a data block in
@@ -48,24 +49,28 @@ KIND_GRID = "grid_wavefunction"
 
 # ``"%.16e" % v`` is "d.ddd...e+kk": the 17 digits D = round(|v| * 10^(16-k))
 # with k = floor(log10 |v|), where D = 10^17 would carry to 10^16 and k + 1.  For
-# 1e-11 <= |v| < 1e17, 10^(16-k) is exact in a long double with a 64-bit
-# significand, and the product y = |v| * 10^(16-k) is rounded once to it.
-# Rounding is monotone, and every integer and half-integer below 10^17 is such
-# a long double, so y lies on the same side of D + 1/2 as the exact product
-# unless y is exactly D + 1/2: D = rint(y) for every other y.  Zeros are exact
-# (D = 0, k = 0).  Every other float (subnormals, |v| outside the range,
-# non-finite values and half-integer y) is formatted by ``"%.16e"`` itself:
-# the certificate only picks which exact method writes a float.  Without
-# such a long double every nonzero float takes ``"%.16e"``.
+# 1e-11 <= |v| < 1e17, k is the double log10's floor clamped to [-11, 16],
+# 10^(16-k) is exact in a long double with a 64-bit significand, and the
+# product y = |v| * 10^(16-k) is rounded once to it.  Rounding is monotone, and
+# every integer and half-integer below 10^17 is such a long double, so y lies
+# on the same side of D + 1/2 as the exact product unless y is exactly D + 1/2:
+# D = rint(y) for every other y.  The certificate is that y is no half-integer
+# and 10^16 <= D < 10^17.  A k one off near a power of ten (log10 of 1e-6 is
+# -6, and "%.16e" writes 9.9999999999999995e-07) puts D outside that range, so
+# it is refused, not repaired.  Every float refused (such k, subnormals, |v|
+# outside the range, non-finite values, half-integer y) is formatted by
+# ``"%.16e"`` itself: the certificate only picks which exact method writes a
+# float.  Zeros are exact as D = 0, k = 0.  Without such a long double every
+# nonzero float takes ``"%.16e"``.
 _CERTIFIES = np.finfo(np.longdouble).nmant == 63
 _K_MIN, _K_MAX = -11, 16
 # 10^0 .. 10^27, each an exact product of exact powers
 _POW10 = np.cumprod(np.r_[1, np.full(16 - _K_MIN, 10)].astype(np.longdouble))
-# ASCII "0000" .. "9999"; "d.", unsigned then signed; "e-11" .. "e+17": one uint32 each
+# ASCII "0000" .. "9999"; "d.", unsigned then signed; "e-11" .. "e+16": one uint32 each
 _QUADS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
 _QUADS = _QUADS.view(np.uint32).ravel()
 _HEADS = np.frombuffer(b"".join(b"%c%d.\0" % (s, i) for s in b"\0-" for i in range(10)), np.uint32)
-_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(_K_MIN, _K_MAX + 2)), np.uint32)
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(_K_MIN, _K_MAX + 1)), np.uint32)
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 # Each float is a field of 6 uint32 words (24 bytes, the longest "%.16e"
 # text), zero-padded; zero bytes are deleted once per block.
@@ -77,25 +82,17 @@ _BLOCK_CELLS = 1 << 14
 def _certify(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(certified, D, k)`` for the floats ``x``: where certified, ``"%.16e"`` gives D and k."""
     a = np.abs(x)
-    fast = (a >= 10.0**_K_MIN) & (a < 10.0 ** (_K_MAX + 1))  # False for nan
+    fast = (a >= 10.0**_K_MIN) & (a < 10.0 ** (_K_MAX + 1)) & _CERTIFIES  # False for nan
     a = np.where(fast, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.int64)  # off by one near a power of ten
-    a = a.astype(np.longdouble)
-    y = a * _POW10[np.clip(16 - k, 0, len(_POW10) - 1)]
+    k = np.clip(np.floor(np.log10(a)), _K_MIN, _K_MAX).astype(np.int64)  # may be one off
+    y = a.astype(np.longdouble) * _POW10[16 - k]
     d = y.astype(np.int64)  # floor(y)
-    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
-    if len(off):
-        k[off] += np.where(d[off] < 10**16, -1, 1)
-        y[off] = a[off] * _POW10[np.clip(16 - k[off], 0, len(_POW10) - 1)]
-        d[off] = y[off].astype(np.int64)
-        fast[off] &= (d[off] >= 10**16) & (d[off] < 10**17)
-    frac = (y - d).astype(float)  # exact: y has at most 10 bits below the point
-    fast &= (k >= _K_MIN) & (k <= _K_MAX) & (frac != 0.5) & _CERTIFIES
+    frac = (y - d).astype(float)  # exact: y has at most 14 bits below the point
+    fast &= (d >= 10**16) & (frac != 0.5)
     d += frac > 0.5
-    fast &= d < 10**17  # a carry; no double in the range rounds up to one
-    zero = x == 0  # exact: "%.16e" writes +-0.0 as +-0.0000000000000000e+00
-    d[zero] = k[zero] = 0
-    return fast | zero, d, k
+    fast &= d < 10**17  # k one off, or a carry; no double in the range rounds up to one
+    d[~fast] = k[~fast] = 0  # exact for zeros: "%.16e" writes +-0.0 as +-0.0000000000000000e+00
+    return fast | (x == 0), d, k
 
 
 def _float_fields(x: np.ndarray) -> np.ndarray:
@@ -106,12 +103,11 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
     fields = np.empty((len(x), _FIELD), np.uint32)
     fields[:, 0] = _HEADS[lead + 10 * np.signbit(x)]
     fields[:, 1:5] = _QUADS[np.stack([high // 10**4, high % 10**4, low // 10**4, low % 10**4], -1)]
-    fields[:, 5] = _EXPONENTS[np.clip(k - _K_MIN, 0, len(_EXPONENTS) - 1)]
+    fields[:, 5] = _EXPONENTS[k - _K_MIN]
     slow = np.flatnonzero(~certified)
-    if len(slow):
-        text = ("%-24.16e" * len(slow)) % tuple(x[slow].tolist())
-        text = text.encode("ascii").translate(_SPACE_TO_NUL)
-        fields[slow] = np.frombuffer(text, np.uint32).reshape(-1, _FIELD)
+    text = ("%-24.16e" * len(slow)) % tuple(x[slow].tolist())
+    text = text.encode("ascii").translate(_SPACE_TO_NUL)
+    fields[slow] = np.frombuffer(text, np.uint32).reshape(-1, _FIELD)
     return fields
 
 
@@ -291,9 +287,9 @@ def _flat_document(text: str) -> dict | None:
     else:
         shape = (-1, line.count(_PAIR), 2)
         line = b"    [" + b", ".join([_PAIR] * shape[1]) + b"]"
-    if shape[1] == 0:
-        return None
-    import orjson  # not at module import: it raised lopsided peak_rss_mb 80.4 -> 93.5 MB
+    # not at module import: that raised lopsided peak_rss_mb 80.4 -> 93.5 MB, a figure
+    # taken before states._fix_mmap_threshold fixed the peak's spread
+    import orjson
 
     try:
         doc = json.loads(text[:start] + ', "data": null}', parse_constant=_reject_constant)
@@ -307,9 +303,9 @@ def _flat_document(text: str) -> dict | None:
                 return None
             chunks.append(np.array(orjson.loads("[" + chunk.translate(_BRACKETS_TO_SPACES) + "]")))
             pos = cut + 2
+        doc["data"] = np.concatenate(chunks).reshape(shape)  # refuses rows of no pairs
     except (ValueError, RecursionError):  # the nested parse meets the fault and reports it
         return None
-    doc["data"] = np.concatenate(chunks).reshape(shape)
     return doc
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, GenericityViolation, NumericalError, SpectrumMismatch
-from .states import DensityMatrix, _instance, _integer, _positive_real, _sketch_for
+from .errors import GenericityViolation, NumericalError, SpectrumMismatch
+from .states import DensityMatrix, _instance, _integer, _open_unit, _positive_real, _sketch_for
 
 # Bounds both the truncated eigenvalue mass and the Frobenius reconstruction
 # residual; dim * rank_threshold stays below this for dims up to 4096.
@@ -79,8 +79,7 @@ def eig_hermitian(
     small to sketch, the full dense solve runs as if no bound were given.
     """
     m = _instance("rho", rho, DensityMatrix).matrix
-    if _positive_real("rank_threshold", rank_threshold) >= 1.0:
-        raise ContractError(f"rank_threshold must lie in (0, 1), got {rank_threshold!r}")
+    rank_threshold = _open_unit("rank_threshold", rank_threshold)
     kept_vals = kept_vecs = None
     if rank_bound is not None:
         sketch = _sketch_for(m, _integer("rank_bound", rank_bound), rho._sketch)
@@ -117,6 +116,7 @@ def detect_degeneracy(spec: SpectralDecomposition, gap_tol: float = 1e-8) -> lis
     An empty list means the spectrum is generic (all retained eigenvalues
     separated by at least gap_tol).
     """
+    _instance("spec", spec, SpectralDecomposition)
     gap_tol = _positive_real("gap_tol", gap_tol)
     clusters: list[list[int]] = []
     current = [0]
@@ -143,6 +143,8 @@ def match_spectra(
     ``pair_tol`` (the pairing would be meaningless), and SpectrumMismatch if
     the ranks differ or any matched pair is further apart than ``pair_tol``.
     """
+    _instance("spec_a", spec_a, SpectralDecomposition)
+    _instance("spec_bc", spec_bc, SpectralDecomposition)
     pair_tol = _positive_real("pair_tol", pair_tol)
     for name, spec in (("first", spec_a), ("second", spec_bc)):
         clusters = detect_degeneracy(spec, pair_tol)

@@ -105,6 +105,14 @@ def _positive_real(name: str, value) -> float:
     return h
 
 
+def _open_unit(name: str, value) -> float:
+    """``value`` as a Python float in the open interval (0, 1), as ``_positive_real`` checks it."""
+    x = _positive_real(name, value)
+    if x >= 1.0:
+        raise ContractError(f"{name} must lie in (0, 1), got {value!r}")
+    return x
+
+
 def _sequence(name: str, value) -> tuple:
     """``value`` as a tuple; a scalar or other non-iterable is rejected."""
     try:
@@ -255,6 +263,10 @@ class Dims:
 
 def flat_index(i: int, j: int, k: int, dims: Dims) -> int:
     """Row-major flat index (i * d_b + j) * d_c + k with range checking."""
+    _instance("dims", dims, Dims)
+    for name, value in (("i", i), ("j", j), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
     if not (0 <= i < dims.d_a and 0 <= j < dims.d_b and 0 <= k < dims.d_c):
         raise IndexError(f"index ({i}, {j}, {k}) out of range for dims {dims.as_tuple()}")
     return (i * dims.d_b + j) * dims.d_c + k
@@ -435,7 +447,9 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
             n_factors -= 1
         kept_dims = tuple(state.dims[available.index(s)] for s in kept)
     else:
-        raise ContractError(f"cannot take a partial trace of {type(state).__name__}")
+        raise ContractError(
+            f"state must be a PureState or DensityMatrix, got {type(state).__name__}"
+        )
     n = math.prod(kept_dims)
     return DensityMatrix._derived(kept, kept_dims, reduced.reshape(n, n))
 

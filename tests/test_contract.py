@@ -16,12 +16,20 @@ from tripure import (
     GridWavefunction,
     PureState,
     ReconstructionConfig,
+    assemble_state,
+    batch_stats,
     build_profile,
+    coefficient_tensors,
+    compatibility_residual,
+    detect_degeneracy,
     eig_hermitian,
     fidelity,
+    flat_index,
     grid_fidelity,
+    match_spectra,
     normalize_grid,
     partial_trace,
+    phase_edges,
     planar_density,
     purity,
     reconstruct_grid,
@@ -41,6 +49,11 @@ GRID = build_profile("separable", SHAPE)
 RHO_XY = planar_density(GRID, "XY")
 RHO_YZ = planar_density(GRID, "YZ")
 EDGES = np.array([[1.0, 0.5], [0.5, 1.0]])
+SPEC = {keep: eig_hermitian(partial_trace(PSI, keep)) for keep in ["A", "B", "C", "AB", "BC"]}
+COEFFS = coefficient_tensors(SPEC["BC"], SPEC["AB"], SPEC["A"], SPEC["B"], SPEC["C"], DIMS)
+SOLUTION = solve_phases(phase_edges(COEFFS))
+PAIRING = match_spectra(SPEC["A"], SPEC["BC"])
+RECORD = roundtrip(PSI)
 
 JUNK = {
     "None": None,
@@ -86,6 +99,26 @@ ENTRY_POINTS = {
         {"edge_weights": EDGES, "edge_tol": 1e-7, "phase_tol": 1e-6,
          "tree_strategy": "max_weight"},
     ),
+    "detect_degeneracy": (detect_degeneracy, {"spec": SPEC["A"], "gap_tol": 1e-8}),
+    "match_spectra": (
+        match_spectra, {"spec_a": SPEC["A"], "spec_bc": SPEC["BC"], "pair_tol": 1e-8}
+    ),
+    "coefficient_tensors": (
+        coefficient_tensors,
+        {"spec_bc": SPEC["BC"], "spec_ab": SPEC["AB"], "spec_a": SPEC["A"], "spec_b": SPEC["B"],
+         "spec_c": SPEC["C"], "dims": DIMS},
+    ),
+    "phase_edges": (phase_edges, {"coeffs": COEFFS}),
+    "assemble_state": (
+        assemble_state,
+        {"pairing": PAIRING, "spec_a": SPEC["A"], "spec_bc": SPEC["BC"],
+         "a_phases": SOLUTION.a_phases, "dims": DIMS},
+    ),
+    "compatibility_residual": (
+        compatibility_residual,
+        {"coeffs": COEFFS, "phases": SOLUTION, "spec_a": SPEC["A"], "spec_c": SPEC["C"]},
+    ),
+    "batch_stats": (batch_stats, {"records": [RECORD]}),
     "fidelity": (fidelity, {"psi1": PSI, "psi2": PSI}),
     "purity": (purity, {"rho": RHO_AB}),
     "grid_fidelity": (grid_fidelity, {"g1": GRID, "g2": GRID}),
@@ -164,6 +197,38 @@ def test_junk_argument_is_refused_by_the_contract(entry, arg, value):
         (lambda: fidelity(PSI, None), "psi2 must be a PureState, got NoneType"),
         (lambda: purity(RHO_AB.matrix), "rho must be a DensityMatrix, got ndarray"),
         (lambda: grid_fidelity(None, GRID), "g1 must be a GridWavefunction, got NoneType"),
+        (lambda: match_spectra(None, SPEC["BC"]),
+         "spec_a must be a SpectralDecomposition, got NoneType"),
+        (lambda: detect_degeneracy(None), "spec must be a SpectralDecomposition, got NoneType"),
+        (lambda: coefficient_tensors(None, SPEC["AB"], SPEC["A"], SPEC["B"], SPEC["C"], DIMS),
+         "spec_bc must be a SpectralDecomposition, got NoneType"),
+        (lambda: coefficient_tensors(SPEC["BC"], SPEC["AB"], SPEC["A"], SPEC["B"], SPEC["C"],
+                                     dims=(2, 2, 2)),
+         "dims must be a Dims, got tuple"),
+        (lambda: phase_edges(None), "coeffs must be a CoefficientTensors, got NoneType"),
+        (lambda: assemble_state(None, SPEC["A"], SPEC["BC"], SOLUTION.a_phases, DIMS),
+         "pairing must be a SpectrumPairing, got NoneType"),
+        (lambda: assemble_state(PAIRING, SPEC["A"], SPEC["BC"], SOLUTION.a_phases, (2, 2, 2)),
+         "dims must be a Dims, got tuple"),
+        (lambda: compatibility_residual(None, SOLUTION, SPEC["A"], SPEC["C"]),
+         "coeffs must be a CoefficientTensors, got NoneType"),
+        (lambda: compatibility_residual(COEFFS, None, SPEC["A"], SPEC["C"]),
+         "phases must be a PhaseSolution, got NoneType"),
+        (lambda: roundtrip(RHO_AB), "psi must be a PureState, got DensityMatrix"),
+        (lambda: roundtrip(None), "psi must be a PureState, got NoneType"),
+        (lambda: roundtrip(PSI, seed="x"), "seed must be a non-negative integer, got 'x'"),
+        (lambda: roundtrip(PSI, seed=-1), "seed must be a non-negative integer, got -1"),
+        (lambda: batch_stats("ab"), r"records\[0\] must be a TrialRecord, got str"),
+        (lambda: batch_stats(np.ones(3)), r"records\[0\] must be a TrialRecord, got float64"),
+        (lambda: batch_stats(None), "records must be a sequence, got None"),
+        (lambda: partial_trace(None, "AB"),
+         "state must be a PureState or DensityMatrix, got NoneType"),
+        (lambda: flat_index(0.5, 0, 0, DIMS), "i must be an integer, got 0.5"),
+        (lambda: flat_index(0, True, 0, DIMS), "j must be an integer, got True"),
+        (lambda: flat_index(0, 0, 0, (2, 2, 2)), "dims must be a Dims, got tuple"),
+        (lambda: ReconstructionConfig(rank_threshold=2.0),
+         r"rank_threshold must lie in \(0, 1\), got 2.0"),
+        (lambda: eig_hermitian(RHO_AB, 1.0), r"rank_threshold must lie in \(0, 1\), got 1.0"),
     ],
     ids=[
         "integer-negative", "integer-fraction", "integer-seed", "positive_real", "sequence",
@@ -173,6 +238,14 @@ def test_junk_argument_is_refused_by_the_contract(entry, arg, value):
         "choice-subsystems", "choice-strategy",
         "instance-dims", "instance-rho_ab", "instance-config", "instance-psi", "instance-rho",
         "instance-psi2", "instance-purity", "instance-g1",
+        "instance-match_spectra", "instance-detect_degeneracy", "instance-coefficient_tensors",
+        "instance-coefficient_tensors-dims", "instance-phase_edges", "instance-assemble_state",
+        "instance-assemble_state-dims", "instance-compatibility_residual",
+        "instance-compatibility_residual-phases", "instance-roundtrip-density",
+        "instance-roundtrip-none", "integer-roundtrip-seed-str", "integer-roundtrip-seed-negative",
+        "instance-batch_stats-str", "instance-batch_stats-vector", "sequence-batch_stats",
+        "instance-partial_trace", "integer-flat_index-fraction", "integer-flat_index-bool",
+        "instance-flat_index-dims", "open_unit-config", "open_unit-eig_hermitian",
     ],
 )
 def test_each_rule_names_its_argument(call, message):

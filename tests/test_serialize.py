@@ -531,6 +531,21 @@ class TestFloatKernel:
         assert serialize._certify(x[near])[0].all()
         assert kernel_text(x[near]) == every_float_text(x[near])
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="needs a 64-bit long double")
+    def test_only_a_right_exponent_is_certified(self):
+        # log10 of a double just below a power of ten can round up to it: k is
+        # then one too large, and the float is refused and written by "%.16e"
+        ten = fractions.Fraction(10)
+        x = [1e-6, 1e-7] + [math.nextafter(10.0**j, 0.0) for j in range(-11, 17)]
+        x += [-v for v in x]
+        right = []
+        for v in x:
+            k = int(np.floor(np.log10(abs(v))))
+            right.append(1e-11 <= abs(v) and ten**k <= abs(fractions.Fraction(v)) < ten ** (k + 1))
+        assert any(right) and not all(right)
+        assert serialize._certify(np.array(x))[0].tolist() == right
+        assert kernel_text(x) == every_float_text(np.array(x))
+
     def test_non_finite_values(self):
         a = np.array([complex(np.nan, np.inf), complex(-np.inf, 1.0), complex(0.5, -np.nan)])
         assert "".join(serialize._data_pieces(a)) == data_text_every_float(a)
