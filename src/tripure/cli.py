@@ -18,7 +18,7 @@ from .errors import AlgorithmError, ContractError
 from .harness import batch_stats, run_trials, sample_haar_state
 from .reconstruct import ReconstructionConfig, _outcome_fields, reconstruct_tripartite
 from .states import Dims, PureState, fidelity, partial_trace
-from .serialize import _replacing, dumps, read_matrix_file, write_matrix_file
+from .serialize import _pieces, _replacing, read_matrix_file, write_matrix_file
 from .tomography import (
     PROFILES,
     build_profile,
@@ -100,7 +100,7 @@ def _cmd_reconstruct(args) -> int:
         _report_failure(args.report, exc, {"config": asdict(cfg), "timings": timings})
     t_done = time.perf_counter()
     with _replacing() as stage:  # --out and --report both, or neither
-        stage(args.out, dumps(report.state))
+        stage(args.out, _pieces(report.state))
         t_written = time.perf_counter()
         payload = {
             **_outcome_fields(report),

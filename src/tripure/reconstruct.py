@@ -11,8 +11,6 @@ raise typed errors instead of producing a best-effort state.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -213,11 +211,13 @@ def solve_phases(
     zero) assigns every phase; every redundant edge is then re-checked and
     the worst wrapped violation recorded as the cycle residual.
 
-    ``tree_strategy`` selects the order in which the tree grows over its
-    frontier edges: "max_weight" takes the largest magnitude first, "bfs"
-    takes edges in the order they were reached (breadth first, neighbors in
-    index order).  Any two strategies must agree up to the overall gauge
-    whenever the inputs really are marginals of one pure state.
+    The tree grows one edge per step: the usable edge with exactly one end
+    assigned and the least key, ties to the lowest (i, k).  The key is
+    ``-|weight|`` for "max_weight" (largest magnitude first) and, for "bfs",
+    (the step that reached the assigned end) * max(r_a, r_c) + (the other
+    end's index), the order in which edges were reached.  Any two strategies
+    must agree up to the overall gauge whenever the inputs really are
+    marginals of one pure state.
     """
     w = _array("edge_weights", edge_weights)
     if w.ndim != 2 or w.size == 0:
@@ -239,25 +239,25 @@ def solve_phases(
     gamma[root] = 0.0
     tree = np.zeros_like(usable)
 
-    heap: list[tuple[float, int, int]] = []
-    order = itertools.count()
-
-    def push(edges) -> None:
-        for i, k in edges:
-            key = -mags[i, k] if tree_strategy == "max_weight" else next(order)
-            heapq.heappush(heap, (key, int(i), int(k)))
-
-    push((i, root) for i in np.nonzero(usable[:, root])[0])
-    while heap:
-        _, i, k = heapq.heappop(heap)
+    reached_a = np.full(r_a, np.inf)  # the step that assigned each node, inf until then
+    reached_c = np.full(r_c, np.inf)
+    reached_c[root] = 0.0
+    rows, cols = np.indices(w.shape)
+    n = max(r_a, r_c)
+    key = -mags
+    for step in range(1, r_a + r_c):
+        cut = usable & (np.isnan(alpha)[:, None] != np.isnan(gamma)[None, :])
+        if not cut.any():
+            break
+        if tree_strategy == "bfs":
+            key = np.minimum(reached_a[:, None] * n + cols, reached_c * n + rows)
+        i, k = divmod(int(np.argmin(np.where(cut, key, np.inf))), r_c)
         if np.isnan(alpha[i]):
             alpha[i] = gamma[k] + args[i, k]
-            push((i, kk) for kk in np.nonzero(usable[i, :])[0])
-        elif np.isnan(gamma[k]):
-            gamma[k] = alpha[i] - args[i, k]
-            push((ii, k) for ii in np.nonzero(usable[:, k])[0])
+            reached_a[i] = step
         else:
-            continue
+            gamma[k] = alpha[i] - args[i, k]
+            reached_c[k] = step
         tree[i, k] = True
 
     missing_a = np.nonzero(np.isnan(alpha))[0]
@@ -269,12 +269,8 @@ def solve_phases(
             "(vanishing overlap coefficients)"
         )
 
-    redundant = usable & ~tree
-    if redundant.any():
-        violations = np.abs(_wrap(alpha[:, None] - gamma[None, :] - args))
-        cycle_residual = float(violations[redundant].max())
-    else:
-        cycle_residual = 0.0
+    violations = np.abs(_wrap(alpha[:, None] - gamma[None, :] - args))
+    cycle_residual = float(violations[usable & ~tree].max(initial=0.0))
     if cycle_residual > phase_tol:
         raise PhaseInconsistency(
             f"redundant phase constraints disagree by {cycle_residual:.3e} rad "

@@ -118,17 +118,14 @@ def detect_degeneracy(spec: SpectralDecomposition, gap_tol: float = 1e-8) -> lis
     """
     _instance("spec", spec, SpectralDecomposition)
     gap_tol = _positive_real("gap_tol", gap_tol)
+    vals = spec.eigenvalues.tolist()
     clusters: list[list[int]] = []
-    current = [0]
     for idx in range(1, spec.rank):
-        if spec.eigenvalues[idx - 1] - spec.eigenvalues[idx] < gap_tol:
-            current.append(idx)
-        else:
-            if len(current) > 1:
-                clusters.append(current)
-            current = [idx]
-    if len(current) > 1:
-        clusters.append(current)
+        if vals[idx - 1] - vals[idx] < gap_tol:
+            if clusters and clusters[-1][-1] == idx - 1:
+                clusters[-1].append(idx)
+            else:
+                clusters.append([idx - 1, idx])
     return clusters
 
 

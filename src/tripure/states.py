@@ -262,7 +262,10 @@ class Dims:
 
 
 def flat_index(i: int, j: int, k: int, dims: Dims) -> int:
-    """Row-major flat index (i * d_b + j) * d_c + k with range checking."""
+    """Row-major flat index (i * d_b + j) * d_c + k.
+
+    An integer index out of range raises IndexError, as sequence indexing does.
+    """
     _instance("dims", dims, Dims)
     for name, value in (("i", i), ("j", j), ("k", k)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

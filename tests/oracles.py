@@ -2,10 +2,17 @@
 
 Everything here works by explicit scalar loops and flat-index arithmetic,
 or by a dense einsum the package no longer uses, so that it shares no code
-path with the package implementation it checks.
+path with the package implementation it checks.  The heap phase tree and
+the cluster loop are the package's earlier code, kept as written so that
+tests can hold their replacements to the same output.
 """
 
+import heapq
+import itertools
+
 import numpy as np
+
+from tripure import PhaseGraphDisconnected, PhaseInconsistency
 
 
 def partial_trace_pure_loops(amplitudes, dims, keep_labels):
@@ -235,3 +242,95 @@ def data_text_every_float(a):
     else:
         lines = ["    [" + ", ".join(pair(z) for z in row) + "]" for row in a]
     return "[\n" + ",\n".join(lines) + "\n  ]"
+
+
+def _wrap(angles):
+    return (angles + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def solve_phases_heap(edge_weights, edge_tol=1e-7, phase_tol=1e-6, tree_strategy="max_weight"):
+    """``(a_phases, c_phases, cycle_residual)`` by the heap traversal ``solve_phases`` used.
+
+    The tree grows from a priority queue with lazy deletion: frontier
+    edges are pushed as their first end is assigned, keyed by
+    ``(-|w|, i, k)`` for "max_weight" or by a FIFO counter for "bfs".
+    Raises the same errors, with the same messages, as ``solve_phases``;
+    the arguments are not validated.
+    """
+    w = np.asarray(edge_weights)
+    r_a, r_c = w.shape
+    mags = np.abs(w)
+    peak = float(mags.max())
+    if peak <= 0.0:
+        raise PhaseGraphDisconnected("all edge weights vanish; no phase is determined")
+    usable = mags > edge_tol * peak
+    args = np.angle(w)
+
+    root = int(np.argmax((mags * usable).sum(axis=0)))
+    alpha = np.full(r_a, np.nan)
+    gamma = np.full(r_c, np.nan)
+    gamma[root] = 0.0
+    tree = np.zeros_like(usable)
+
+    heap: list[tuple[float, int, int]] = []
+    order = itertools.count()
+
+    def push(edges) -> None:
+        for i, k in edges:
+            key = -mags[i, k] if tree_strategy == "max_weight" else next(order)
+            heapq.heappush(heap, (key, int(i), int(k)))
+
+    push((i, root) for i in np.nonzero(usable[:, root])[0])
+    while heap:
+        _, i, k = heapq.heappop(heap)
+        if np.isnan(alpha[i]):
+            alpha[i] = gamma[k] + args[i, k]
+            push((i, kk) for kk in np.nonzero(usable[i, :])[0])
+        elif np.isnan(gamma[k]):
+            gamma[k] = alpha[i] - args[i, k]
+            push((ii, k) for ii in np.nonzero(usable[:, k])[0])
+        else:
+            continue
+        tree[i, k] = True
+
+    missing_a = np.nonzero(np.isnan(alpha))[0]
+    missing_c = np.nonzero(np.isnan(gamma))[0]
+    if missing_a.size or missing_c.size:
+        raise PhaseGraphDisconnected(
+            "phase graph is disconnected: undetermined branch phases "
+            f"a{[int(i) for i in missing_a]} / c{[int(k) for k in missing_c]} "
+            "(vanishing overlap coefficients)"
+        )
+
+    redundant = usable & ~tree
+    if redundant.any():
+        violations = np.abs(_wrap(alpha[:, None] - gamma[None, :] - args))
+        cycle_residual = float(violations[redundant].max())
+    else:
+        cycle_residual = 0.0
+    if cycle_residual > phase_tol:
+        raise PhaseInconsistency(
+            f"redundant phase constraints disagree by {cycle_residual:.3e} rad "
+            f"(> {phase_tol:.1e}); inputs are not marginals of one pure state"
+        )
+    return alpha, gamma, cycle_residual
+
+
+def degeneracy_clusters_loop(eigenvalues, rank, gap_tol):
+    """Clusters of consecutive eigenvalues closer than ``gap_tol``, by the earlier scalar loop.
+
+    It indexes the numpy array in the loop, as ``detect_degeneracy`` did,
+    and closes a cluster when a gap is wide enough.
+    """
+    clusters: list[list[int]] = []
+    current = [0]
+    for idx in range(1, rank):
+        if eigenvalues[idx - 1] - eigenvalues[idx] < gap_tol:
+            current.append(idx)
+        else:
+            if len(current) > 1:
+                clusters.append(current)
+            current = [idx]
+    if len(current) > 1:
+        clusters.append(current)
+    return clusters

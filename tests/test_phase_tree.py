@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripure import ContractError, PhaseGraphDisconnected, solve_phases
+from tripure import AlgorithmError, ContractError, PhaseGraphDisconnected, solve_phases
+
+from oracles import solve_phases_heap
 
 STRATEGIES = ("max_weight", "bfs")
 
@@ -103,3 +105,68 @@ def test_non_finite_weight_is_a_contract_error(strategy, bad):
     w[0, 1] = bad
     with pytest.raises(ContractError, match="non-finite"):
         solve_phases(w, tree_strategy=strategy)
+
+
+def planted_weights(rng, r_a, r_c, density, scale, consistent):
+    """Edge weights with tied, zero and unusably weak magnitudes and consistent or random phases.
+
+    Magnitudes are multiples of 1/scale in [0, 1]; about one edge in ten is
+    set to 1e-9, below the default ``edge_tol`` times any nonzero peak.
+    """
+    mags = rng.integers(0, scale + 1, size=(r_a, r_c)) / scale
+    mags[rng.random((r_a, r_c)) >= density] = 0.0
+    mags[rng.random((r_a, r_c)) < 0.1] = 1e-9
+    if consistent:
+        alpha = rng.uniform(-np.pi, np.pi, r_a)
+        gamma = rng.uniform(-np.pi, np.pi, r_c)
+        args = alpha[:, None] - gamma[None, :]
+    else:
+        args = rng.uniform(-np.pi, np.pi, (r_a, r_c))
+    return mags * np.exp(1j * args)
+
+
+def assert_matches_heap(w, strategy, phase_tol):
+    """solve_phases gives the heap traversal's phases, residual or error, bit for bit."""
+    try:
+        a_phases, c_phases, cycle_residual = solve_phases_heap(
+            w, phase_tol=phase_tol, tree_strategy=strategy
+        )
+    except AlgorithmError as exc:
+        with pytest.raises(AlgorithmError) as excinfo:
+            solve_phases(w, phase_tol=phase_tol, tree_strategy=strategy)
+        assert type(excinfo.value) is type(exc)
+        assert str(excinfo.value) == str(exc)
+        return
+    sol = solve_phases(w, phase_tol=phase_tol, tree_strategy=strategy)
+    assert sol.a_phases.tobytes() == a_phases.tobytes()
+    assert sol.c_phases.tobytes() == c_phases.tobytes()
+    assert sol.cycle_residual == cycle_residual
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+    st.sampled_from([1, 10, 100]),
+    st.booleans(),
+    st.sampled_from([1e-6, 10.0]),
+)
+def test_tree_matches_heap_traversal(r_a, r_c, seed, density, scale, consistent, phase_tol):
+    # phase_tol = 10 rad exceeds any wrapped violation, so random phases
+    # return a solution and expose which tree was grown.
+    w = planted_weights(np.random.default_rng(seed), r_a, r_c, density, scale, consistent)
+    for strategy in STRATEGIES:
+        assert_matches_heap(w, strategy, phase_tol)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("consistent", [True, False])
+@pytest.mark.parametrize("shape", [(4, 32), (32, 4), (16, 16)])
+def test_large_trees_match_heap_traversal(shape, consistent, strategy):
+    rng = np.random.default_rng([0, *shape, consistent])
+    w = planted_weights(rng, *shape, density=1.0, scale=10, consistent=consistent)
+    # The planted graph is connected, so whole trees are compared, not errors.
+    solve_phases_heap(w, phase_tol=10.0, tree_strategy=strategy)
+    assert_matches_heap(w, strategy, phase_tol=10.0)

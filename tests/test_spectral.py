@@ -20,7 +20,7 @@ from tripure import states
 from tripure.spectral import RANK_LEAK_TOL, SpectralDecomposition
 
 from conftest import haar
-from oracles import haar_unitary, partial_trace_pure_loops
+from oracles import degeneracy_clusters_loop, haar_unitary, partial_trace_pure_loops
 
 
 def spec_of(vals, vecs=None):
@@ -113,6 +113,23 @@ class TestDetectDegeneracy:
     def test_two_separate_clusters(self):
         spec = spec_of([0.3, 0.3, 0.2, 0.2])
         assert detect_degeneracy(spec, gap_tol=1e-8) == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("gap_tol", [1e-8, 2.0**-20])
+    def test_matches_loop_on_planted_steps(self, gap_tol):
+        # Steps of 0, gap_tol / 2, gap_tol and 2 * gap_tol put consecutive
+        # gaps below, at and above the tolerance (exactly at it for the
+        # power of two, whose steps from 0.5 round to nothing); a rank below
+        # the length checks that only the retained eigenvalues are scanned.
+        rng = np.random.default_rng(5)
+        steps = np.array([0.0, 0.5, 1.0, 2.0]) * gap_tol
+        for _ in range(2000):
+            n = int(rng.integers(1, 17))
+            vals = 0.5 - np.concatenate([[0.0], np.cumsum(rng.choice(steps, n - 1))])
+            rank = int(rng.integers(1, n + 1))
+            spec = SpectralDecomposition(vals, np.eye(n, dtype=complex), n, rank)
+            clusters = detect_degeneracy(spec, gap_tol=gap_tol)
+            assert clusters == degeneracy_clusters_loop(vals, rank, gap_tol)
+            assert all(type(idx) is int for cluster in clusters for idx in cluster)
 
 
 class TestMatchSpectra:
