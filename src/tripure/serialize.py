@@ -180,6 +180,8 @@ def _replacing():
     ``os.replace`` its target; on any exception the new files are removed
     and every target keeps its bytes.  A target that exists and is not a
     regular file (``/dev/stdout``, a FIFO) is written in place when staged.
+    Staging a second text for a target already staged raises ContractError,
+    so two outputs naming one file are refused and nothing is written.
     Nothing is synced to disk: a failed write or a killed process leaves
     no partial target, a power loss may.
     """
@@ -196,6 +198,8 @@ def _replacing():
                 fh.writelines(pieces)
             return
         target = os.path.realpath(path)
+        if any(target == staged_target for _, staged_target in staged):
+            raise ContractError(f"two outputs name the same file: {path}")
         head, tail = os.path.split(target)
         temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -287,8 +291,8 @@ def _flat_document(text: str) -> dict | None:
     else:
         shape = (-1, line.count(_PAIR), 2)
         line = b"    [" + b", ".join([_PAIR] * shape[1]) + b"]"
-    # not at module import: that raised lopsided peak_rss_mb 80.4 -> 93.5 MB, a figure
-    # taken before states._fix_mmap_threshold fixed the peak's spread
+    # not at module import: importing orjson takes ~8 ms and ~0.7 MB of RSS, which
+    # a run that reads no data file need not pay
     import orjson
 
     try:
@@ -350,6 +354,11 @@ def loads(text: str) -> PureState | DensityMatrix | GridWavefunction:
 
 
 def read_matrix_file(path) -> PureState | DensityMatrix | GridWavefunction:
+    """Read ``path`` as UTF-8 text and parse it as ``loads`` does.
+
+    A file that is missing, cannot be read or is not valid UTF-8 raises
+    ``ContractError("cannot read <path>: ...")``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -688,6 +688,34 @@ class TestAllOrNothingWrites:
         assert read_matrix_file(out).dims == Dims(2, 2, 2)
 
 
+class TestTwoOutputsOneFile:
+    """``--out`` and ``--report`` naming one regular file end in exit 2 and write nothing."""
+
+    @pytest.mark.parametrize(
+        "report_name",
+        [lambda d: d / "r.json", lambda d: f"{d}/./r.json", lambda d: d / "link.json"],
+        ids=["same-path", "dot-path", "symlink"],
+    )
+    def test_refused(self, tmp_path, report_name):
+        ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 7), "same")
+        out = tmp_path / "r.json"
+        out.write_text('{"previous": true}\n')
+        (tmp_path / "link.json").symlink_to(out)
+        before = snapshot(tmp_path)
+        proc = run_child("reconstruct", "--ab", ab, "--bc", bc, "--dims", "2,2,2",
+                         "--out", out, "--report", report_name(tmp_path))
+        assert_one_error_line(proc)
+        assert "two outputs name the same file" in proc.stderr
+        assert snapshot(tmp_path) == before
+
+    def test_stdout_twice_into_a_pipe(self, tmp_path):
+        ab, bc = write_marginals(tmp_path, sample_haar_state(Dims(2, 2, 2), 7), "pipe")
+        proc = run_child("reconstruct", "--ab", ab, "--bc", bc, "--dims", "2,2,2",
+                         "--out", "/dev/stdout", "--report", "/dev/stdout")
+        assert proc.returncode == 0, proc.stderr
+        assert '"kind": "pure_state"' in proc.stdout and '"outcome": "success"' in proc.stdout
+
+
 class TestOversizedDims:
     """Dims beyond numpy's index range or the memory at hand end in exit 2 and write nothing."""
 
