@@ -18,7 +18,7 @@ from .errors import AlgorithmError, ContractError
 from .harness import batch_stats, run_trials, sample_haar_state
 from .reconstruct import ReconstructionConfig, _outcome_fields, reconstruct_tripartite
 from .states import Dims, PureState, fidelity, partial_trace
-from .serialize import _pieces, _replacing, read_matrix_file, write_matrix_file
+from .serialize import _check_outputs, _pieces, _replacing, read_matrix_file, write_matrix_file
 from .tomography import (
     PROFILES,
     build_profile,
@@ -263,6 +263,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_outputs(getattr(args, "out", None), getattr(args, "report", None))
         return args.func(args)
     except (ContractError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

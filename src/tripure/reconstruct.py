@@ -301,8 +301,15 @@ def assemble_state(
     if spec_a.original_dim != dims.d_a or spec_bc.original_dim != dims.d_b * dims.d_c:
         raise ContractError("decompositions do not match dims")
     a_phases = _array("a_phases", a_phases, (spec_a.rank,), dtype=float)
+    perm = _array("pairing.permutation", pairing.permutation, (spec_a.rank,), dtype=int)
+    idx = perm.tolist()
+    if idx and not 0 <= min(idx) <= max(idx) < spec_bc.rank:
+        raise ContractError(
+            f"pairing.permutation entries must lie in [0, {spec_bc.rank}), "
+            f"got {min(idx)}..{max(idx)}"
+        )
     weights = np.exp(1j * a_phases) * np.sqrt(spec_a.eigenvalues)
-    partners = spec_bc.eigenvectors[:, pairing.permutation]
+    partners = spec_bc.eigenvectors[:, perm]
     amps = ((spec_a.eigenvectors * weights) @ partners.T).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     lead = amps[np.argmax(np.abs(amps))]

@@ -29,6 +29,7 @@ written a block of rows at a time as it is formatted.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import os
@@ -167,6 +168,48 @@ def dumps(obj: PureState | DensityMatrix | GridWavefunction) -> str:
     return "".join(_pieces(obj))
 
 
+def _staged_target(path) -> tuple[str | None, int | None]:
+    """Where ``_replacing`` writes ``path``: ``(resolved path, mode)``, or ``(None, mode)``.
+
+    A missing path (mode None) or a regular file is staged beside its
+    resolved target, so a symlink survives; anything else that exists
+    (``/dev/stdout``, a FIFO, a directory) gives None and is written in
+    place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        return None, mode
+    return os.path.realpath(path), mode
+
+
+def _check_outputs(*paths) -> None:
+    """Refuse, before any work, output paths that ``_replacing`` could not write together.
+
+    ``None`` entries are skipped.  Two paths that resolve to one staged
+    file raise ContractError, as ``stage`` would; a directory, or a path
+    whose directory does not exist, raises the OSError that writing it
+    would, naming the path.  A target written in place (``/dev/stdout``)
+    may be named more than once.
+    """
+    targets = set()
+    for path in paths:
+        if path is None:
+            continue
+        target, mode = _staged_target(path)
+        if target is None:
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            continue
+        if target in targets:
+            raise ContractError(f"two outputs name the same file: {path}")
+        if not os.path.isdir(os.path.dirname(target)):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        targets.add(target)
+
+
 @contextmanager
 def _replacing():
     """Yield ``stage(path, text)``; when the block ends, every staged text replaces its target.
@@ -179,7 +222,9 @@ def _replacing():
     when the block ends without an exception does each new file
     ``os.replace`` its target; on any exception the new files are removed
     and every target keeps its bytes.  A target that exists and is not a
-    regular file (``/dev/stdout``, a FIFO) is written in place when staged.
+    regular file (``/dev/stdout``, a FIFO) is written in place when staged
+    (``_staged_target``).  A new file that cannot be created raises the
+    OSError of its creation, naming ``path`` rather than the temporary.
     Staging a second text for a target already staged raises ContractError,
     so two outputs naming one file are refused and nothing is written.
     Nothing is synced to disk: a failed write or a killed process leaves
@@ -189,20 +234,19 @@ def _replacing():
 
     def stage(path, text: str | Iterable[str]) -> None:
         pieces = [text] if isinstance(text, str) else text
-        try:
-            mode = os.stat(path).st_mode
-        except FileNotFoundError:
-            mode = None
-        if mode is not None and not stat.S_ISREG(mode):
+        target, mode = _staged_target(path)
+        if target is None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
             return
-        target = os.path.realpath(path)
         if any(target == staged_target for _, staged_target in staged):
             raise ContractError(f"two outputs name the same file: {path}")
         head, tail = os.path.split(target)
         temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
         staged.append((temp, target))
         with open(fd, "w", encoding="utf-8") as fh:
             if mode is not None:

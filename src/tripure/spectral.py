@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenericityViolation, NumericalError, SpectrumMismatch
+from .errors import ContractError, GenericityViolation, NumericalError, SpectrumMismatch
 from .states import DensityMatrix, _instance, _integer, _open_unit, _positive_real, _sketch_for
 
 # Bounds both the truncated eigenvalue mass and the Frobenius reconstruction
@@ -23,12 +23,32 @@ RANK_LEAK_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Retained eigenpairs of a density matrix, eigenvalues descending."""
+    """Retained eigenpairs of a density matrix, eigenvalues descending.
+
+    Construction checks the shapes: 1-d ``eigenvalues``, one column of
+    ``eigenvectors`` per eigenvalue, each of ``original_dim`` entries, and
+    ``0 <= rank <= len(eigenvalues)``; anything else raises ContractError.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     original_dim: int
     rank: int
+
+    def __post_init__(self):
+        vals, vecs = np.asarray(self.eigenvalues), np.asarray(self.eigenvectors)
+        n = _integer("original_dim", self.original_dim)
+        rank = _integer("rank", self.rank, 0)
+        if vals.ndim != 1:
+            raise ContractError(f"eigenvalues must be a 1-d array, got shape {vals.shape}")
+        if vecs.shape != (n, vals.size):
+            raise ContractError(f"eigenvectors has shape {vecs.shape}, expected {(n, vals.size)}")
+        if rank > vals.size:
+            raise ContractError(f"rank {rank} exceeds the {vals.size} eigenvalues")
+        object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "original_dim", n)
+        object.__setattr__(self, "rank", rank)
 
 
 @dataclass(frozen=True)

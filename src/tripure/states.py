@@ -222,22 +222,6 @@ def _sketch_for(m: np.ndarray, rank_bound: int, stored: tuple | None = None) -> 
     return _range_sketch(m, k)
 
 
-def _psd_by_sketch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The range sketch that certifies every eigenvalue of ``m`` is >= -PSD_TOL / 2, or None.
-
-    With sketched eigenpairs ``V, lam``, the matrix ``V diag(lam) V^dag`` has
-    spectrum ``lam`` and zeros, so by Weyl's inequality ``lambda_min(m) >=
-    min(lam_min, 0) - ||R||_F`` for the residual ``R = m - V diag(lam) V^dag``.
-    The sketch is ``_sketch_for(m, 0)``; it certifies matrices of rank up to
-    about its probe count.
-    """
-    sketch = _sketch_for(m, 0)
-    if sketch is None:
-        return None
-    vals, _, residual = sketch
-    return sketch if min(vals[0], 0.0) - residual >= -PSD_TOL / 2 else None
-
-
 @dataclass(frozen=True)
 class Dims:
     """Subsystem dimensions (d_a, d_b, d_c), all strictly positive."""
@@ -304,7 +288,7 @@ class DensityMatrix:
     matrix, (M + M^dag) / 2, when it is Hermitian within ``HERM_TOL`` and
     rejects it otherwise; validation changes the matrix in no other way.
     Positive semidefiniteness is accepted first from a range sketch whose
-    residual certifies ``lambda_min >= -PSD_TOL / 2`` (``_psd_by_sketch``),
+    residual certifies ``lambda_min >= -PSD_TOL / 2`` (``_sketch_for``),
     which settles a large low-rank matrix in O(n^2 k).  Otherwise it is
     accepted from a Cholesky factorization of ``M + PSD_TOL * I``, the
     diagonal shifted in place and then restored bit for bit; only when that
@@ -349,7 +333,10 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ContractError(f"trace {complex(tr)!r} deviates from 1 by more than {TRACE_TOL}")
-        sketch = _psd_by_sketch(m)
+        sketch = _sketch_for(m, 0)
+        # Weyl: lambda_min(m) >= min(lam_min, 0) - ||m - V diag(lam) V^dag||_F
+        if sketch is not None and min(sketch[0][0], 0.0) - sketch[2] < -PSD_TOL / 2:
+            sketch = None
         if sketch is None:
             diagonal = m.diagonal().copy()
             m.flat[:: n + 1] += PSD_TOL

@@ -22,6 +22,7 @@ from tripure import (
     roundtrip,
     sample_haar_state,
 )
+from tripure import cli
 from tripure.cli import main
 from tripure.serialize import read_matrix_file, write_matrix_file
 
@@ -714,6 +715,43 @@ class TestTwoOutputsOneFile:
                          "--out", "/dev/stdout", "--report", "/dev/stdout")
         assert proc.returncode == 0, proc.stderr
         assert '"kind": "pure_state"' in proc.stdout and '"outcome": "success"' in proc.stdout
+
+    def test_clash_is_named_before_a_missing_input(self, tmp_path, capsys):
+        out, missing = tmp_path / "r.json", tmp_path / "missing.json"
+        code = main(["reconstruct", "--ab", str(missing), "--bc", str(missing),
+                     "--dims", "2,2,2", "--out", str(out), "--report", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: two outputs name the same file: {out}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputsCheckedFirst:
+    """An output that cannot be written ends in exit 2 before any input is read or trial run."""
+
+    def test_roundtrip_into_a_missing_directory_runs_no_trial(self, tmp_path, capsys,
+                                                              monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_trials", lambda *args: calls.append(args))
+        report = tmp_path / "missing" / "r.json"
+        assert main(["roundtrip", "--dims", "2,2,2", "--trials", "1000000",
+                     "--report", str(report)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{report}'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_reconstruct_into_a_directory_reads_no_input(self, tmp_path, capsys, monkeypatch,
+                                                         flag):
+        reads = []
+        monkeypatch.setattr(cli, "read_matrix_file", reads.append)
+        # a repeated --out takes the directory, as argparse keeps the last value
+        assert main(["reconstruct", "--ab", "ab.json", "--bc", "bc.json", "--dims", "2,2,2",
+                     "--out", str(tmp_path / "psi.json"), flag, str(tmp_path)]) == 2
+        assert reads == []
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOversizedDims:

@@ -16,6 +16,8 @@ from tripure import (
     GridWavefunction,
     PureState,
     ReconstructionConfig,
+    SpectralDecomposition,
+    SpectrumPairing,
     assemble_state,
     batch_stats,
     build_profile,
@@ -258,3 +260,46 @@ def test_numeric_refusal_names_the_type_not_the_repr():
     with pytest.raises(ContractError) as caught:
         DensityMatrix(("A", "B"), (300, 300), junk)
     assert str(caught.value) == "matrix must be numeric, got ndarray"
+
+
+def malformed_decomposition(**fields):
+    spec = SPEC["A"]
+    return SpectralDecomposition(**{
+        "eigenvalues": spec.eigenvalues, "eigenvectors": spec.eigenvectors,
+        "original_dim": spec.original_dim, "rank": spec.rank, **fields,
+    })
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: malformed_decomposition(rank=SPEC["A"].rank + 1),
+         r"rank 3 exceeds the 2 eigenvalues"),
+        (lambda: malformed_decomposition(rank=-1), "rank must be a non-negative integer"),
+        (lambda: malformed_decomposition(eigenvectors=SPEC["A"].eigenvectors[:1]),
+         r"eigenvectors has shape \(1, 2\), expected \(2, 2\)"),
+        (lambda: malformed_decomposition(original_dim=3),
+         r"eigenvectors has shape \(2, 2\), expected \(3, 2\)"),
+        (lambda: malformed_decomposition(eigenvalues=np.diag(SPEC["A"].eigenvalues)),
+         r"eigenvalues must be a 1-d array, got shape \(2, 2\)"),
+        (lambda: assemble_state(SpectrumPairing(np.array([0, SPEC["BC"].rank]), 0.0), SPEC["A"],
+                                SPEC["BC"], SOLUTION.a_phases, DIMS),
+         r"pairing.permutation entries must lie in \[0, 2\), got 0..2"),
+        (lambda: assemble_state(SpectrumPairing(np.array([-1, 0]), 0.0), SPEC["A"],
+                                SPEC["BC"], SOLUTION.a_phases, DIMS),
+         r"pairing.permutation entries must lie in \[0, 2\), got -1..0"),
+        (lambda: assemble_state(SpectrumPairing(np.arange(3), 0.0), SPEC["A"], SPEC["BC"],
+                                SOLUTION.a_phases, DIMS),
+         r"pairing.permutation has shape \(3,\), expected \(2,\)"),
+        (lambda: assemble_state(SpectrumPairing(np.array([0.0, 1.0]), 0.0), SPEC["A"],
+                                SPEC["BC"], SOLUTION.a_phases, DIMS),
+         "pairing.permutation must be numeric, got ndarray"),
+    ],
+    ids=["rank-above-eigenvalues", "rank-negative", "eigenvector-rows", "original_dim",
+         "eigenvalues-2d", "permutation-too-large",
+         "permutation-negative", "permutation-length", "permutation-float"],
+)
+def test_malformed_decompositions_and_pairings_are_refused(call, message):
+    """Decompositions are checked where built and pairings where used: never IndexError."""
+    with pytest.raises(ContractError, match=message):
+        call()

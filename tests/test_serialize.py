@@ -169,6 +169,14 @@ class TestReplacing:
                 stage(tmp_path / "missing" / "b.json", "new b")
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_failed_creation_names_the_target(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as caught:
+            write_matrix_file("missing/x.json", sample_haar_state(Dims(2, 2, 2), 1))
+        assert caught.value.filename == "missing/x.json"
+        assert "missing/x.json" in str(caught.value) and ".tmp" not in str(caught.value)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestStringData:
     """Numbers written as JSON strings or booleans are refused, as in dims and spacings."""

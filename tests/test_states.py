@@ -1,6 +1,7 @@
 import itertools
 import os
 import platform
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tripure import (
     partial_trace,
     purity,
     reconstruct_tripartite,
+    sample_haar_state,
 )
 from tripure import states
 
@@ -434,6 +436,56 @@ class TestPsdCertificateCost:
         assert sizes == [d_a * d_b, d_b * d_c]
         reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
         assert sizes == [d_a * d_b, d_b * d_c]
+
+    # Per dims of sample_haar_state(dims, 7): the solver calls, by (solver, size),
+    # of validating rho_AB and rho_BC from raw matrices, then of reconstructing.
+    # A sketch is keyed by (n, k); its eigh of the k x k projection counts too.
+    SOLVER_CALLS = {
+        (2, 2, 2): (
+            {("cholesky", 4): 2},
+            {("eigh", 2): 3, ("eigh", 4): 2},
+        ),
+        (3, 3, 3): (
+            {("cholesky", 9): 2},
+            {("eigh", 3): 3, ("eigh", 9): 2},
+        ),
+        (8, 64, 8): (
+            {("sketch", (512, 16)): 2, ("eigh", 16): 2},
+            {("eigh", 8): 2, ("eigh", 64): 1},
+        ),
+        (4, 32, 32): (
+            {("sketch", (1024, 16)): 1, ("sketch", (128, 16)): 1, ("eigh", 16): 2,
+             ("cholesky", 128): 1},
+            {("eigh", 4): 1, ("eigh", 32): 2, ("eigh", 128): 1},
+        ),
+    }
+
+    @pytest.mark.parametrize("dims", list(SOLVER_CALLS), ids=lambda d: "x".join(map(str, d)))
+    def test_solver_calls_by_size(self, monkeypatch, dims):
+        psi = sample_haar_state(Dims(*dims), 7)
+        ab, bc = partial_trace(psi, "AB").matrix, partial_trace(psi, "BC").matrix
+        seen = {name: spy_calls(monkeypatch, name) for name in ("eigh", "eigvalsh", "cholesky")}
+        seen["sketch"] = []
+        real = states._range_sketch
+
+        def spy(m, k):
+            seen["sketch"].append((m.shape[0], k))
+            return real(m, k)
+
+        monkeypatch.setattr(states, "_range_sketch", spy)
+
+        def taken():
+            counts = Counter((name, size) for name, sizes in seen.items() for size in sizes)
+            for sizes in seen.values():
+                sizes.clear()
+            return dict(counts)
+
+        building, reconstructing = self.SOLVER_CALLS[dims]
+        rho_ab = DensityMatrix(("A", "B"), dims[:2], ab)
+        rho_bc = DensityMatrix(("B", "C"), dims[1:], bc)
+        assert taken() == building
+        reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        assert taken() == reconstructing
 
 
 class TestReadOnlyMatrix:
