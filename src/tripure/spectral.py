@@ -28,6 +28,8 @@ class SpectralDecomposition:
     Construction checks the shapes: 1-d ``eigenvalues``, one column of
     ``eigenvectors`` per eigenvalue, each of ``original_dim`` entries, and
     ``0 <= rank <= len(eigenvalues)``; anything else raises ContractError.
+    Only the ``rank`` retained pairs are kept, ``eigenvalues[:rank]`` and
+    ``eigenvectors[:, :rank]``, so every stage sees ``rank`` of each.
     """
 
     eigenvalues: np.ndarray
@@ -45,8 +47,8 @@ class SpectralDecomposition:
             raise ContractError(f"eigenvectors has shape {vecs.shape}, expected {(n, vals.size)}")
         if rank > vals.size:
             raise ContractError(f"rank {rank} exceeds the {vals.size} eigenvalues")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "eigenvalues", vals[:rank])
+        object.__setattr__(self, "eigenvectors", vecs[:, :rank])
         object.__setattr__(self, "original_dim", n)
         object.__setattr__(self, "rank", rank)
 

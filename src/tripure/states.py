@@ -9,6 +9,7 @@ The same convention orders the rows and columns of every density matrix.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -30,9 +31,15 @@ SKETCH_OVERSAMPLE = 8
 SKETCH_MIN_RATIO = 8
 SKETCH_SEED = 403200
 
-# Complex entries per row block of the n x n passes (1 MiB), so validation
-# and residuals hold no full-size temporary.
+# Complex entries per row block of the residual passes (1 MiB), so no
+# residual is held at full size.
 _BLOCK_ENTRIES = 1 << 16
+# Complex entries per row block of symmetrization (256 KiB): a block of the
+# input and of the stored matrix stay in L2 across the gap, sum and halving.
+_SYMMETRIZE_ENTRIES = 1 << 14
+# Side of the tiles of the conjugate transpose: a 32 x 32 complex tile is
+# 16 KiB, so a source tile and its destination fit in L1 together.
+_TILE = 32
 
 # glibc mallopt parameters (malloc.h) and the size from which a buffer gets
 # its own mapping: numpy asks for huge pages from 4 MiB up, so a fresh
@@ -163,12 +170,12 @@ def _instance(name: str, value, cls: type):
     return value
 
 
-def _row_blocks(n: int):
-    """Slices of consecutive rows of an n x n matrix, at most ``_BLOCK_ENTRIES`` entries each.
+def _row_blocks(n: int, entries: int = _BLOCK_ENTRIES):
+    """Slices of consecutive rows of an n x n matrix, at most ``entries`` entries each.
 
     A block holds at least one row, and a small matrix is one block.
     """
-    step = max(1, _BLOCK_ENTRIES // n)
+    step = max(1, entries // n)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
@@ -188,22 +195,42 @@ def _residual_norm(left: np.ndarray, right: np.ndarray, m: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
+@functools.lru_cache(maxsize=4)
+def _probes(n: int, k: int) -> np.ndarray:
+    """The sketch's n x k complex Gaussian probes from ``SKETCH_SEED``, read-only and kept."""
+    rng = np.random.default_rng(SKETCH_SEED)
+    probes = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    probes.flags.writeable = False
+    return probes
+
+
 def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Top eigenpairs of ``m`` restricted to the range of ``m`` times k probe vectors.
 
     Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53:217,
-    2011) with fixed-seed complex Gaussian probes, so reruns are identical.
-    Returns k eigenpairs in ascending order, as ``numpy.linalg.eigh`` does,
-    and the Frobenius norm of the residual ``m - V diag(lam) V^dag``, a
-    blocked sum of squares (``_residual_norm``) that forms no n x n array.
+    2011) with fixed-seed complex Gaussian probes (``_probes``), so reruns
+    are identical.  Returns k eigenpairs in ascending order, as
+    ``numpy.linalg.eigh`` does, and the Frobenius norm of the residual
+    ``m - V diag(lam) V^dag``.  That residual is Hermitian, so each row
+    block forms it only from its diagonal block rightwards and counts the
+    part right of the diagonal block twice: a blocked sum of squares over
+    about half the matrix that forms no n x n array.  It is not bitwise
+    ``np.linalg.norm`` and is only compared with tolerances.
     """
-    rng = np.random.default_rng(SKETCH_SEED)
-    probes = rng.standard_normal((m.shape[0], k)) + 1j * rng.standard_normal((m.shape[0], k))
-    q, _ = np.linalg.qr(m @ probes)
+    n = m.shape[0]
+    q, _ = np.linalg.qr(m @ _probes(n, k))
     small = q.conj().T @ m @ q
     vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
     vecs = q @ vecs
-    return vals, vecs, _residual_norm(vecs * vals, vecs.conj().T, m)
+    left, right = vecs * vals, vecs.conj().T
+    sq = 0.0
+    for rows in _row_blocks(n):
+        s = rows.start
+        r = left[rows] @ right[:, s:]
+        r -= m[rows, s:]
+        d = r[:, : rows.stop - s]
+        sq += 2.0 * np.vdot(r, r).real - np.vdot(d, d).real
+    return vals, vecs, math.sqrt(sq)
 
 
 def _sketch_for(m: np.ndarray, rank_bound: int, stored: tuple | None = None) -> tuple | None:
@@ -220,6 +247,28 @@ def _sketch_for(m: np.ndarray, rank_bound: int, stored: tuple | None = None) -> 
     if stored is not None and len(stored[0]) == k:
         return stored
     return _range_sketch(m, k)
+
+
+def _conjugate_transpose(g: np.ndarray) -> np.ndarray:
+    """``conj(g.T)`` of a square ``g`` as a new C-ordered array, written tile by tile.
+
+    A plain strided transpose of a large matrix walks one side with a stride
+    of a whole row; ``_TILE`` x ``_TILE`` tiles keep both sides in cache
+    (Frigo et al., "Cache-oblivious algorithms", FOCS 1999).  Splitting an
+    axis is a view for any layout, so every input takes the tiled path; the
+    ragged strips beyond the last full tile are written plainly.
+    """
+    n = g.shape[0]
+    m = np.empty((n, n), complex)
+    k = n - n % _TILE
+    nb = k // _TILE
+    np.conjugate(
+        g[:k, :k].reshape(nb, _TILE, nb, _TILE).transpose(2, 0, 3, 1),
+        out=m[:k, :k].reshape(nb, _TILE, nb, _TILE).transpose(0, 2, 1, 3),
+    )
+    np.conjugate(g[k:, :k].T, out=m[:k, k:])
+    np.conjugate(g[:, k:].T, out=m[k:])
+    return m
 
 
 @dataclass(frozen=True)
@@ -294,12 +343,14 @@ class DensityMatrix:
     diagonal shifted in place and then restored bit for bit; only when that
     fails is the smallest eigenvalue computed and compared with ``-PSD_TOL``.
 
-    The symmetrization works in place in the stored matrix, and the
-    Hermitian check and the sketch residual run over row blocks
-    (``_row_blocks``), so no n x n temporary is held beyond the stored
-    matrix and the Cholesky factor.  The residual is a blocked sum of
-    squares, not bitwise ``np.linalg.norm``; it is only compared with
-    tolerances.
+    The stored matrix is allocated C-ordered whatever the input's layout and
+    first receives ``conj(M^T)`` tile by tile (``_conjugate_transpose``);
+    the Hermitian check, the sum and the halving then run in place over row
+    blocks of ``_SYMMETRIZE_ENTRIES`` (about 256 KiB), and the sketch
+    residual over row blocks of ``_BLOCK_ENTRIES`` (``_row_blocks``), so no
+    n x n temporary is held beyond the stored matrix and the Cholesky
+    factor.  The residual is a blocked sum of squares over one triangle,
+    not bitwise ``np.linalg.norm``; it is only compared with tolerances.
 
     The stored matrix is read-only.  A certifying sketch is kept, eigenpairs
     and residual norm, in the private ``_sketch`` attribute, which takes no
@@ -324,10 +375,13 @@ class DensityMatrix:
         dims = _entries("dims", self.dims, _integer, len(subs))
         n = math.prod(dims)
         given = _array("matrix", self.matrix, (n, n))
-        m = np.conjugate(given.T, order="C")
-        herm_gap = max(np.abs(given[rows] - m[rows]).max() for rows in _row_blocks(n))
-        m += given
-        m /= 2.0
+        m = _conjugate_transpose(given)
+        herm_gap = 0.0
+        for rows in _row_blocks(n, _SYMMETRIZE_ENTRIES):
+            g, h = given[rows], m[rows]
+            herm_gap = max(herm_gap, np.abs(g - h).max())
+            h += g
+            h /= 2.0
         if herm_gap > HERM_TOL:
             raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {herm_gap:.3e}")
         tr = m.trace()

@@ -117,6 +117,29 @@ class TestCoefficientTensors:
         with pytest.raises(ExpansionLeakage):
             coefficient_tensors(s["bc"], s["ab"], s["a"], clipped, s["c"], psi.dims)
 
+    @pytest.mark.parametrize("key", ["bc", "ab", "a", "b", "c"])
+    def test_rank_clipped_decomposition_is_typed(self, key):
+        # Only rank is lowered; the arrays keep every pair, which construction allows.
+        psi = haar(2, 2, 2, 11)
+        s = decompose_all(psi)
+        full = s[key]
+        s[key] = SpectralDecomposition(
+            full.eigenvalues, full.eigenvectors, full.original_dim, full.rank - 1
+        )
+        assert s[key].eigenvalues.shape == (full.rank - 1,)
+        assert s[key].eigenvectors.shape == (full.original_dim, full.rank - 1)
+        # A result or a typed error, never a raw ValueError or IndexError.
+        outcome = None
+        try:
+            coeffs = coefficient_tensors(s["bc"], s["ab"], s["a"], s["b"], s["c"], psi.dims)
+            phases = solve_phases(phase_edges(coeffs))
+            pairing = match_spectra(s["a"], s["bc"])
+            assemble_state(pairing, s["a"], s["bc"], phases.a_phases, psi.dims)
+        except (AlgorithmError, ContractError) as exc:
+            outcome = type(exc)
+        if key == "b":  # as the array-clipped basis of test_truncated_basis_leaks
+            assert outcome is ExpansionLeakage
+
     def test_single_party_dims_mismatch(self):
         s = decompose_all(haar(2, 3, 4, 6))
         with pytest.raises(ContractError) as caught:

@@ -285,8 +285,8 @@ class TestBlockedSketchResidual:
 
     @pytest.mark.parametrize(
         "n,rank,k",
-        [(2, 1, 2), (1000, 4, 16), (1000, 40, 16)],
-        ids=["2x2", "certified", "too-few-probes"],
+        [(2, 1, 2), (1000, 4, 16), (1000, 40, 16), (1024, 4, 16)],
+        ids=["2x2", "certified", "too-few-probes", "lopsided"],
     )
     def test_matches_full_norm(self, n, rank, k):
         m = density_with_spectrum(np.linspace(1.0, 2.0, rank), n, seed=n + rank).matrix
@@ -295,6 +295,14 @@ class TestBlockedSketchResidual:
         full -= m
         expected = np.linalg.norm(full)
         assert abs(residual - expected) <= max(1e-12 * expected, 1e-18)
+
+    def test_probes_are_the_seeded_draw_read_only(self):
+        rng = np.random.default_rng(states.SKETCH_SEED)
+        fresh = rng.standard_normal((1024, 16)) + 1j * rng.standard_normal((1024, 16))
+        probes = states._probes(1024, 16)
+        assert probes.tobytes() == fresh.tobytes() and probes.shape == fresh.shape
+        assert not probes.flags.writeable
+        assert states._probes(1024, 16) is probes
 
 
 class TestSketchReuse:

@@ -518,10 +518,20 @@ def zero_rowed_matrix(n, zero_rows, seed):
 
 
 class TestRowBlocks:
-    """Validation streams over row blocks; n = 1000 is no multiple of the block rows."""
+    """Validation streams over row blocks and 32 x 32 tiles; n = 1000 is no multiple of either.
 
-    CASES = [(("A",), (2,), [1]), (("A", "B"), (8, 125), [0, 517, 998, 999])]
-    IDS = ["2x2", "1000x1000"]
+    n = 31, 33 and 97 leave ragged strips beside the tiles of the conjugate
+    transpose: all of the matrix, one row and column, and one past three tiles.
+    """
+
+    CASES = [
+        (("A",), (2,), [1]),
+        (("A",), (31,), [0, 30]),
+        (("A",), (33,), [31, 32]),
+        (("A", "B"), (97, 1), [5, 95, 96]),
+        (("A", "B"), (8, 125), [0, 517, 998, 999]),
+    ]
+    IDS = ["2x2", "31x31", "33x33", "97x97", "1000x1000"]
 
     def test_sizes_end_in_a_ragged_block(self):
         blocks = list(states._row_blocks(1000))
@@ -550,12 +560,44 @@ class TestRowBlocks:
         m[0, 1] += 1e-3
         m[n - 1, n - 2] += 2.5e-3j
         gaps = np.abs(m - m.conj().T)
-        last = list(states._row_blocks(n))[-1]
+        last = list(states._row_blocks(n, states._SYMMETRIZE_ENTRIES))[-1]
         assert gaps[last].max() == gaps.max() > gaps[: last.start].max(initial=0.0)
         with pytest.raises(ContractError) as caught:
             DensityMatrix(subs, dims, m)
         assert type(caught.value) is ContractError
         assert str(caught.value) == f"matrix is not Hermitian: max |M - M^dag| = {gaps.max():.3e}"
+
+    @pytest.mark.parametrize("n", [33, 97])
+    @pytest.mark.parametrize("i,j", [(-1, 3), (3, -1)], ids=["below-tiles", "right-of-tiles"])
+    def test_gap_in_ragged_strip_gives_the_full_message(self, n, i, j):
+        m = zero_rowed_matrix(n, [n - 1], seed=n + 2)
+        m[0, 1] += 1e-3
+        m[i, j] += 2.5e-3j  # in the strip beyond the last full tile
+        gaps = np.abs(m - m.conj().T)
+        assert gaps[n - n % 32 :].max() == gaps.max() > gaps[: n - n % 32, : n - n % 32].max()
+        with pytest.raises(ContractError) as caught:
+            DensityMatrix(("A",), (n,), m)
+        assert str(caught.value) == f"matrix is not Hermitian: max |M - M^dag| = {gaps.max():.3e}"
+
+    @pytest.mark.parametrize("n", [33, 97, 1000])
+    @pytest.mark.parametrize("layout", ["fortran", "transposed-view", "strided", "reversed"])
+    def test_any_layout_is_stored_c_ordered_as_full_symmetrization(self, n, layout):
+        m = zero_rowed_matrix(n, [0, n - 1], seed=n + 3)
+        m[0, -1] += 1e-13j
+        if layout == "fortran":
+            given = np.asfortranarray(m)
+        elif layout == "transposed-view":
+            given = m.T.copy().T
+        elif layout == "strided":
+            wide = np.zeros((2 * n, 3 * n), dtype=complex)
+            wide[::2, ::3] = m
+            given = wide[::2, ::3]
+        else:
+            given = m[::-1, ::-1].copy()[::-1, ::-1]
+        assert given.tobytes() == m.tobytes() and not given.flags.c_contiguous
+        rho = DensityMatrix(("A",), (n,), given)
+        assert rho.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+        assert rho.matrix.flags.c_contiguous
 
 
 class TestMemoryPeak:
