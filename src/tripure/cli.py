@@ -174,53 +174,47 @@ def _cmd_tomo_demo(args) -> int:
     return 0
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    for name in _TOLERANCE_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tripure",
         description="Reconstruct tripartite pure states from their AB and BC marginals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by several commands, each declared once
+    dims, out, tolerances = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    dims.add_argument("--dims", type=_parse_triple, required=True, metavar="dA,dB,dC")
+    out.add_argument("--out", required=True)
+    tolerances.add_argument("--report", default=None)
+    for name in _TOLERANCE_FLAGS:
+        tolerances.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=None)
 
-    p = sub.add_parser("gen", help="sample a Haar-random pure state into a file")
-    p.add_argument("--dims", type=_parse_triple, required=True, metavar="dA,dB,dC")
+    p = sub.add_parser("gen", parents=[dims, out],
+                       help="sample a Haar-random pure state into a file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("marginals", help="write a reduced density matrix")
+    p = sub.add_parser("marginals", parents=[out], help="write a reduced density matrix")
     p.add_argument("--in", dest="in", required=True, metavar="FILE")
     p.add_argument("--keep", required=True, choices=["AB", "BC", "A", "B", "C"])
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_marginals)
 
-    p = sub.add_parser("reconstruct", help="recover the pure state from rho_AB and rho_BC")
+    p = sub.add_parser("reconstruct", parents=[dims, out, tolerances],
+                       help="recover the pure state from rho_AB and rho_BC")
     p.add_argument("--ab", required=True)
     p.add_argument("--bc", required=True)
-    p.add_argument("--dims", type=_parse_triple, required=True, metavar="dA,dB,dC")
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
     p.add_argument("--truth", default=None, help="pure_state file to score fidelity against")
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("roundtrip", help="batch Haar round-trip verification")
-    p.add_argument("--dims", type=_parse_triple, required=True, metavar="dA,dB,dC")
+    p = sub.add_parser("roundtrip", parents=[dims, tolerances],
+                       help="batch Haar round-trip verification")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed-base", dest="seed_base", type=int, default=0)
-    p.add_argument("--report", default=None)
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_roundtrip)
 
-    p = sub.add_parser("tomo-demo", help="planar-projection demo on a named wavefunction")
+    p = sub.add_parser("tomo-demo", parents=[tolerances],
+                       help="planar-projection demo on a named wavefunction")
     p.add_argument("--grid", type=_parse_triple, required=True, metavar="nx,ny,nz")
     p.add_argument("--profile", required=True, choices=list(PROFILES))
-    p.add_argument("--report", default=None)
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_tomo_demo)
 
     return parser

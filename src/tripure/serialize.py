@@ -168,6 +168,15 @@ def dumps(obj: PureState | DensityMatrix | GridWavefunction) -> str:
     return "".join(_pieces(obj))
 
 
+def _fspath(path) -> str:
+    """``path`` as a str; ContractError for what ``os.fspath`` refuses, an int fd or None."""
+    try:
+        return os.fsdecode(path)
+    except TypeError:
+        kind = type(path).__name__
+        raise ContractError(f"path must be a str, bytes or os.PathLike, got {kind}") from None
+
+
 def _staged_target(path) -> tuple[str | None, int | None]:
     """Where ``_replacing`` writes ``path``: ``(resolved path, mode)``, or ``(None, mode)``.
 
@@ -176,6 +185,7 @@ def _staged_target(path) -> tuple[str | None, int | None]:
     (``/dev/stdout``, a FIFO, a directory) gives None and is written in
     place.
     """
+    path = _fspath(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -189,10 +199,10 @@ def _check_outputs(*paths) -> None:
     """Refuse, before any work, output paths that ``_replacing`` could not write together.
 
     ``None`` entries are skipped.  Two paths that resolve to one staged
-    file raise ContractError, as ``stage`` would; a directory, or a path
-    whose directory does not exist, raises the OSError that writing it
-    would, naming the path.  A target written in place (``/dev/stdout``)
-    may be named more than once.
+    file raise ContractError; ``stage`` does not check this again.  A
+    directory, or a path whose directory does not exist, raises the OSError
+    that writing it would, naming the path.  A target written in place
+    (``/dev/stdout``) may be named more than once.
     """
     targets = set()
     for path in paths:
@@ -225,8 +235,7 @@ def _replacing():
     regular file (``/dev/stdout``, a FIFO) is written in place when staged
     (``_staged_target``).  A new file that cannot be created raises the
     OSError of its creation, naming ``path`` rather than the temporary.
-    Staging a second text for a target already staged raises ContractError,
-    so two outputs naming one file are refused and nothing is written.
+    Two outputs naming one file are refused before, by ``_check_outputs``.
     Nothing is synced to disk: a failed write or a killed process leaves
     no partial target, a power loss may.
     """
@@ -239,8 +248,6 @@ def _replacing():
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
             return
-        if any(target == staged_target for _, staged_target in staged):
-            raise ContractError(f"two outputs name the same file: {path}")
         head, tail = os.path.split(target)
         temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
         try:
@@ -366,6 +373,8 @@ def loads(text: str) -> PureState | DensityMatrix | GridWavefunction:
     ``-Infinity``, which Python's json module accepts by default, are
     rejected as ContractError.
     """
+    if not isinstance(text, str):
+        raise ContractError(f"text must be a str, got {type(text).__name__}")
     doc = _flat_document(text)
     if doc is None:
         try:
@@ -403,6 +412,7 @@ def read_matrix_file(path) -> PureState | DensityMatrix | GridWavefunction:
     A file that is missing, cannot be read or is not valid UTF-8 raises
     ``ContractError("cannot read <path>: ...")``.
     """
+    path = _fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

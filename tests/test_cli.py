@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -752,6 +753,95 @@ class TestOutputsCheckedFirst:
         assert reads == []
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_gen_into_a_missing_directory_samples_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "sample_haar_state", lambda *args: calls.append(args))
+        out = tmp_path / "missing" / "x.json"
+        assert main(["gen", "--dims", "2,2,2", "--seed", "7", "--out", str(out)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_marginals_into_a_directory_reads_no_input(self, tmp_path, capsys, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "read_matrix_file", reads.append)
+        assert main(["marginals", "--in", "psi.json", "--keep", "AB",
+                     "--out", str(tmp_path)]) == 2
+        assert reads == []
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tomo_demo_into_a_missing_directory_builds_no_profile(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "build_profile", lambda *args: calls.append(args))
+        report = tmp_path / "missing" / "r.json"
+        assert main(["tomo-demo", "--grid", "3,3,3", "--profile", "separable",
+                     "--report", str(report)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{report}'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+NO_TOLERANCES = {name: None for name in cli._TOLERANCE_FLAGS}
+TOLERANCE_OPTIONS = {"--rank-threshold", "--gap-tol", "--pair-tol", "--edge-tol", "--phase-tol",
+                     "--marginal-tol", "--report"}
+
+# Per command: the option strings its parser accepts, one valid argv, and what
+# ``vars(parse_args(argv))`` holds apart from ``func``.
+PARSER_SURFACE = {
+    "gen": (
+        {"-h", "--help", "--dims", "--seed", "--out"},
+        ["--dims", "2,3,4", "--seed", "7", "--out", "psi.json"],
+        {"dims": (2, 3, 4), "seed": 7, "out": "psi.json"},
+    ),
+    "marginals": (
+        {"-h", "--help", "--in", "--keep", "--out"},
+        ["--in", "psi.json", "--keep", "AB", "--out", "ab.json"],
+        {"in": "psi.json", "keep": "AB", "out": "ab.json"},
+    ),
+    "reconstruct": (
+        {"-h", "--help", "--ab", "--bc", "--dims", "--out", "--truth"} | TOLERANCE_OPTIONS,
+        ["--ab", "ab.json", "--bc", "bc.json", "--dims", "2,3,4", "--out", "o.json",
+         "--report", "r.json", "--truth", "psi.json", "--pair-tol", "1e-9"],
+        {"ab": "ab.json", "bc": "bc.json", "dims": (2, 3, 4), "out": "o.json",
+         "report": "r.json", "truth": "psi.json", **NO_TOLERANCES, "pair_tol": 1e-9},
+    ),
+    "roundtrip": (
+        {"-h", "--help", "--dims", "--trials", "--seed-base"} | TOLERANCE_OPTIONS,
+        ["--dims", "2,2,2", "--trials", "3", "--seed-base", "5", "--report", "r.json",
+         "--gap-tol", "1e-7"],
+        {"dims": (2, 2, 2), "trials": 3, "seed_base": 5, "report": "r.json",
+         **NO_TOLERANCES, "gap_tol": 1e-7},
+    ),
+    "tomo-demo": (
+        {"-h", "--help", "--grid", "--profile"} | TOLERANCE_OPTIONS,
+        ["--grid", "3,3,3", "--profile", "separable", "--report", "r.json",
+         "--marginal-tol", "1e-6"],
+        {"grid": (3, 3, 3), "profile": "separable", "report": "r.json",
+         **NO_TOLERANCES, "marginal_tol": 1e-6},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PARSER_SURFACE)
+class TestParserSurface:
+    """Each command accepts the same options and parses one argv to the same namespace."""
+
+    def test_option_strings(self, command):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(commands.choices[command]._option_string_actions) == PARSER_SURFACE[command][0]
+
+    def test_parsed_namespace(self, command):
+        _, argv, expected = PARSER_SURFACE[command]
+        parsed = vars(cli.build_parser().parse_args([command, *argv]))
+        func = parsed.pop("func")
+        assert func.__name__ == "_cmd_" + command.replace("-", "_")
+        assert parsed == {"command": command, **expected}
 
 
 class TestOversizedDims:

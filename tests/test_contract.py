@@ -41,6 +41,7 @@ from tripure import (
     sample_haar_state,
     solve_phases,
 )
+from tripure.serialize import dumps, loads, read_matrix_file, write_matrix_file
 
 DIMS = Dims(2, 2, 2)
 PSI = sample_haar_state(DIMS, 5)
@@ -301,5 +302,58 @@ def malformed_decomposition(**fields):
 )
 def test_malformed_decompositions_and_pairings_are_refused(call, message):
     """Decompositions are checked where built and pairings where used: never IndexError."""
+    with pytest.raises(ContractError, match=message):
+        call()
+
+
+# The file-format entry points; paths are relative to an empty working directory
+# that holds ``in.json``.
+FILE_ENTRY_POINTS = {
+    "loads": (loads, {"text": dumps(PSI)}),
+    "dumps": (dumps, {"obj": PSI}),
+    "read_matrix_file": (read_matrix_file, {"path": "in.json"}),
+    "write_matrix_file": (write_matrix_file, {"path": "out.json", "obj": PSI}),
+}
+
+FILE_CASES = [
+    pytest.param(entry, arg, value, id=f"{entry}-{arg}-{label}")
+    for entry, (_, kwargs) in FILE_ENTRY_POINTS.items()
+    for arg in kwargs
+    for label, value in JUNK.items()
+]
+
+
+@pytest.fixture
+def file_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_matrix_file("in.json", PSI)
+
+
+@pytest.mark.parametrize("entry", FILE_ENTRY_POINTS)
+def test_valid_file_arguments_are_accepted(file_cwd, entry):
+    func, kwargs = FILE_ENTRY_POINTS[entry]
+    func(**kwargs)
+
+
+@pytest.mark.parametrize("entry, arg, value", FILE_CASES)
+def test_junk_file_argument_is_refused_by_the_contract(file_cwd, entry, arg, value):
+    """An int is never taken for a file descriptor, nor None or bytes for text."""
+    func, kwargs = FILE_ENTRY_POINTS[entry]
+    try:
+        func(**{**kwargs, arg: value})
+    except ContractError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: read_matrix_file(None), "path must be a str, bytes or os.PathLike, got NoneType"),
+        (lambda: write_matrix_file(-3, PSI), "path must be a str, bytes or os.PathLike, got int"),
+        (lambda: loads(b"{}"), "text must be a str, got bytes"),
+    ],
+    ids=["read-none", "write-int", "loads-bytes"],
+)
+def test_file_rule_names_its_argument(file_cwd, call, message):
     with pytest.raises(ContractError, match=message):
         call()

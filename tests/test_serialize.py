@@ -23,7 +23,7 @@ from tripure import serialize
 from tripure.serialize import dumps, loads, read_matrix_file, write_matrix_file
 from tripure.tomography import GridWavefunction, build_profile
 
-from conftest import haar, peak_bytes
+from conftest import haar, peak_bytes, run_child
 from oracles import data_text_every_float
 
 
@@ -796,3 +796,50 @@ class TestMemoryPeak:
         path = tmp_path / "ab.json"
         write_matrix_file(path, marginal)
         assert peak_bytes(lambda: read_matrix_file(path)) <= 29.4 * self.MIB
+
+
+class TestPathIsNeverAFileDescriptor:
+    """An int or bool path is refused before any file is opened, in a child with real fds."""
+
+    def test_write_to_true_leaves_stdout_open(self):
+        code = (
+            "import os, sys\n"
+            "from tripure import ContractError, Dims, sample_haar_state\n"
+            "from tripure.serialize import write_matrix_file\n"
+            "try:\n"
+            "    write_matrix_file(True, sample_haar_state(Dims(2, 2, 2), 7))\n"
+            "except ContractError as exc:\n"
+            "    print(exc, file=sys.stderr)\n"
+            "os.fstat(1)\n"
+            "print('stdout open')\n"
+        )
+        proc = run_child(code=code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "stdout open\n"
+        assert proc.stderr == "path must be a str, bytes or os.PathLike, got bool\n"
+
+    def test_read_of_zero_does_not_read_stdin(self, tmp_path):
+        path = tmp_path / "psi.json"
+        write_matrix_file(path, haar(2, 2, 2, 7))
+        code = (
+            "import os, sys\n"
+            "from tripure import ContractError\n"
+            "from tripure.serialize import read_matrix_file\n"
+            "os.dup2(os.open(sys.argv[1], os.O_RDONLY), 0)\n"
+            "try:\n"
+            "    print(read_matrix_file(0))\n"
+            "except ContractError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = run_child(path, code=code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "path must be a str, bytes or os.PathLike, got int\n"
+
+
+def test_bytes_path_is_written_and_read(tmp_path):
+    """A bytes path is staged beside its target and read back like its str form."""
+    path = bytes(tmp_path / "psi.json")
+    state = haar(2, 2, 2, 7)
+    write_matrix_file(path, state)
+    assert np.array_equal(read_matrix_file(path).amplitudes, state.amplitudes)
+    assert [p.name for p in tmp_path.iterdir()] == ["psi.json"]
