@@ -11,6 +11,7 @@ raise typed errors instead of producing a best-effort state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -70,6 +71,10 @@ class ReconstructionConfig:
         for f in fields(self):
             check = _open_unit if f.name == "rank_threshold" else _positive_real
             object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
+
+
+# Frozen and validated once, so every run given no config shares it.
+_DEFAULT_CONFIG = ReconstructionConfig()
 
 
 @dataclass(frozen=True)
@@ -215,9 +220,14 @@ def solve_phases(
     assigned and the least key, ties to the lowest (i, k).  The key is
     ``-|weight|`` for "max_weight" (largest magnitude first) and, for "bfs",
     (the step that reached the assigned end) * max(r_a, r_c) + (the other
-    end's index), the order in which edges were reached.  Any two strategies
-    must agree up to the overall gauge whenever the inputs really are
-    marginals of one pure state.
+    end's index), the order in which edges were reached.  Either key is
+    fixed once the assigned end is, so the tree grows Prim-style over Python
+    lists: each unassigned node keeps its least ``(key, i * r_c + k)`` over
+    the edges to assigned nodes, offered as each node is assigned, and each
+    step takes the least of those.  That is the least key over all such
+    edges with the same tie rule, in O((r_a + r_c) * max(r_a, r_c)) work.
+    Any two strategies must agree up to the overall gauge whenever the
+    inputs really are marginals of one pure state.
     """
     w = _array("edge_weights", edge_weights)
     if w.ndim != 2 or w.size == 0:
@@ -234,43 +244,61 @@ def solve_phases(
     args = np.angle(w)
 
     root = int(np.argmax((mags * usable).sum(axis=0)))
-    alpha = np.full(r_a, np.nan)
-    gamma = np.full(r_c, np.nan)
-    gamma[root] = 0.0
-    tree = np.zeros_like(usable)
-
-    reached_a = np.full(r_a, np.inf)  # the step that assigned each node, inf until then
-    reached_c = np.full(r_c, np.inf)
-    reached_c[root] = 0.0
-    rows, cols = np.indices(w.shape)
+    by_weight = tree_strategy == "max_weight"
     n = max(r_a, r_c)
-    key = -mags
-    for step in range(1, r_a + r_c):
-        cut = usable & (np.isnan(alpha)[:, None] != np.isnan(gamma)[None, :])
-        if not cut.any():
-            break
-        if tree_strategy == "bfs":
-            key = np.minimum(reached_a[:, None] * n + cols, reached_c * n + rows)
-        i, k = divmod(int(np.argmin(np.where(cut, key, np.inf))), r_c)
-        if np.isnan(alpha[i]):
-            alpha[i] = gamma[k] + args[i, k]
-            reached_a[i] = step
-        else:
-            gamma[k] = alpha[i] - args[i, k]
-            reached_c[k] = step
-        tree[i, k] = True
+    key_rows, arg_rows, usable_rows = (-mags).tolist(), args.tolist(), usable.tolist()
+    alpha = [None] * r_a
+    gamma = [None] * r_c
+    gamma[root] = 0.0
+    # Unassigned node (a-node i as i, c-node k as r_a + k) -> its least (key, i * r_c + k).
+    frontier = {}
+    unreached = (math.inf,)
+    tree_a, tree_c = [], []
 
-    missing_a = np.nonzero(np.isnan(alpha))[0]
-    missing_c = np.nonzero(np.isnan(gamma))[0]
-    if missing_a.size or missing_c.size:
+    def reach_from_c(k: int, step: int) -> None:
+        for i in range(r_a):
+            if alpha[i] is None and usable_rows[i][k]:
+                edge = (key_rows[i][k] if by_weight else step * n + i, i * r_c + k)
+                if edge < frontier.get(i, unreached):
+                    frontier[i] = edge
+
+    def reach_from_a(i: int, step: int) -> None:
+        usable_row, key_row = usable_rows[i], key_rows[i]
+        for k in range(r_c):
+            if gamma[k] is None and usable_row[k]:
+                edge = (key_row[k] if by_weight else step * n + k, i * r_c + k)
+                if edge < frontier.get(r_a + k, unreached):
+                    frontier[r_a + k] = edge
+
+    reach_from_c(root, 0)
+    for step in range(1, r_a + r_c):
+        if not frontier:
+            break
+        i, k = divmod(min(frontier.values())[1], r_c)
+        if alpha[i] is None:
+            alpha[i] = gamma[k] + arg_rows[i][k]
+            del frontier[i]
+            reach_from_a(i, step)
+        else:
+            gamma[k] = alpha[i] - arg_rows[i][k]
+            del frontier[r_a + k]
+            reach_from_c(k, step)
+        tree_a.append(i)
+        tree_c.append(k)
+
+    missing_a = [i for i, a in enumerate(alpha) if a is None]
+    missing_c = [k for k, g in enumerate(gamma) if g is None]
+    if missing_a or missing_c:
         raise PhaseGraphDisconnected(
             "phase graph is disconnected: undetermined branch phases "
-            f"a{[int(i) for i in missing_a]} / c{[int(k) for k in missing_c]} "
-            "(vanishing overlap coefficients)"
+            f"a{missing_a} / c{missing_c} (vanishing overlap coefficients)"
         )
 
+    alpha, gamma = np.array(alpha), np.array(gamma)
+    redundant = usable.copy()
+    redundant[tree_a, tree_c] = False
     violations = np.abs(_wrap(alpha[:, None] - gamma[None, :] - args))
-    cycle_residual = float(violations[usable & ~tree].max(initial=0.0))
+    cycle_residual = float(violations[redundant].max(initial=0.0))
     if cycle_residual > phase_tol:
         raise PhaseInconsistency(
             f"redundant phase constraints disagree by {cycle_residual:.3e} rad "
@@ -390,7 +418,7 @@ def reconstruct_tripartite(
     compatible with a single generic pure state; each error raised after
     rho_A and rho_C are diagonalized carries their ``min_spectral_gap``.
     """
-    cfg = ReconstructionConfig() if config is None else config
+    cfg = _DEFAULT_CONFIG if config is None else config
     _instance("config", cfg, ReconstructionConfig)
     _instance("dims", dims, Dims)
     _check_input("rho_ab", rho_ab, ("A", "B"), dims)
@@ -413,9 +441,14 @@ def reconstruct_tripartite(
 
     spec_a = eig_hermitian(rho_a, cfg.rank_threshold)
     spec_c = eig_hermitian(rho_c, cfg.rank_threshold)
-    # Smallest retained rho_A/rho_C spacing, counting the last eigenvalue's distance to 0.
-    gaps = [np.min(-np.diff(s.eigenvalues), initial=s.eigenvalues[-1]) for s in (spec_a, spec_c)]
-    min_gap = float(min(gaps))
+    # Smallest retained rho_A/rho_C spacing, counting the last eigenvalue's
+    # distance to 0; -(b - a) is the entry of -np.diff, bit for bit.
+    gaps = []
+    for spec in (spec_a, spec_c):
+        vals = spec.eigenvalues.tolist()
+        gaps += [-(b - a) for a, b in zip(vals, vals[1:])]
+        gaps.append(vals[-1])
+    min_gap = min(gaps)
     try:
         spec_b = eig_hermitian(rho_b, cfg.rank_threshold)
         # A pure state's complementary marginals share their rank, so the

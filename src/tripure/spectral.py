@@ -9,6 +9,7 @@ reported as a hard ``GenericityViolation`` instead of a guess.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +72,15 @@ def _truncate(
     (up to its backward error).  Dropping eigenpairs adds the 2-norm of
     their eigenvalues, so by the triangle inequality the truncated residual
     is at most ``residual + ||discarded||_2``; no n x n product is formed.
+    Ascending order puts the kept pairs last, so they are sliced rather than
+    masked out; the 2-norm is ``np.linalg.norm``'s ``sqrt(d @ d)`` of the
+    discarded eigenvalues ``d``, descending as before, without its wrapper.
     """
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    mask = vals > rank_threshold
-    kept_vals = np.ascontiguousarray(vals[mask])
-    kept_vecs = np.ascontiguousarray(vecs[:, mask])
-    return kept_vals, kept_vecs, residual + float(np.linalg.norm(vals[~mask]))
+    desc, kept = vals[::-1], int(np.count_nonzero(vals > rank_threshold))
+    kept_vals = np.ascontiguousarray(desc[:kept])
+    kept_vecs = np.ascontiguousarray(vecs[:, ::-1][:, :kept])
+    dropped = np.ascontiguousarray(desc[kept:])
+    return kept_vals, kept_vecs, residual + math.sqrt(dropped @ dropped)
 
 
 def eig_hermitian(
@@ -176,8 +179,8 @@ def match_spectra(
             f"retained ranks differ: {spec_a.rank} vs {spec_bc.rank} "
             "(inputs are not marginals of one pure state)"
         )
-    gaps = np.abs(spec_a.eigenvalues - spec_bc.eigenvalues)
-    max_gap = float(gaps.max()) if gaps.size else 0.0
+    pairs = zip(spec_a.eigenvalues.tolist(), spec_bc.eigenvalues.tolist())
+    max_gap = max([abs(a - b) for a, b in pairs], default=0.0)
     if max_gap > pair_tol:
         raise SpectrumMismatch(
             f"paired eigenvalues differ by up to {max_gap:.3e} (> {pair_tol:.1e})"

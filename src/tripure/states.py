@@ -87,8 +87,13 @@ def _integer(name: str, value, least: int = 1) -> int:
     """``value`` as a Python int >= ``least``: 1 for sizes and counts, 0 for seeds.
 
     ``bool``, floats and strings are refused rather than coerced, so a
-    malformed size or seed never turns silently into a valid one.
+    malformed size or seed never turns silently into a valid one.  An exact
+    ``int`` of at least ``least``, the common case, is returned at once;
+    anything else, subclasses and numpy integers included, takes the full
+    check.
     """
+    if type(value) is int and value >= least:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         kind = "positive" if least == 1 else "non-negative"
         raise ContractError(f"{name} must be a {kind} integer, got {value!r}")
@@ -100,8 +105,12 @@ def _positive_real(name: str, value) -> float:
 
     ``bool``, strings, ``None``, NaN, infinities and integers too large for a
     float are refused rather than coerced, like the sizes ``_integer``
-    checks.
+    checks.  An exact ``float`` with ``0.0 < value < inf``, the common case,
+    is returned at once; anything else, ``bool``, subclasses, numpy scalars,
+    NaN and the infinities included, takes the full check.
     """
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     try:
         h = float(value) if real else np.nan
@@ -140,15 +149,20 @@ def _array(name: str, value, shape: tuple | None = None, dtype=complex) -> np.nd
     """``value`` as a finite ``dtype`` array, of ``shape`` when one is given.
 
     Non-numeric content, booleans included, is refused by its type name,
-    since a matrix repr can be huge.
+    since a matrix repr can be huge.  An exact ``ndarray`` that already has
+    ``dtype``, the common case, is used as it is, without the conversion;
+    its shape and finiteness are still checked.
     """
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        arr = None
-    if arr is None or arr.dtype == bool or not np.can_cast(arr.dtype, dtype, "same_kind"):
-        raise ContractError(f"{name} must be numeric, got {type(value).__name__}")
-    arr = arr.astype(dtype, copy=False)
+    if type(value) is np.ndarray and value.dtype == dtype:
+        arr = value
+    else:
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged nesting
+            arr = None
+        if arr is None or arr.dtype == bool or not np.can_cast(arr.dtype, dtype, "same_kind"):
+            raise ContractError(f"{name} must be numeric, got {type(value).__name__}")
+        arr = arr.astype(dtype, copy=False)
     if shape is not None and arr.shape != shape:
         raise ContractError(f"{name} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():
@@ -421,7 +435,7 @@ class DensityMatrix:
         """
         rho = object.__new__(cls)
         object.__setattr__(rho, "subsystems", subsystems)
-        object.__setattr__(rho, "dims", tuple(int(d) for d in dims))
+        object.__setattr__(rho, "dims", tuple(map(int, dims)))
         m.flags.writeable = False
         object.__setattr__(rho, "matrix", m)
         return rho
@@ -473,8 +487,13 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
         traced_ax = [ax for ax in range(3) if ax not in keep_ax]
         t = state.as_tensor()
         kept_dims = tuple(state.dims.as_tuple()[ax] for ax in keep_ax)
-        product = np.tensordot(t, t.conj(), axes=(traced_ax, traced_ax))
-        product = product.reshape(math.prod(kept_dims), -1)
+        n = math.prod(kept_dims)
+        # The product np.tensordot(t, t.conj(), (traced_ax, traced_ax)) forms,
+        # with the same operands, without its argument handling.
+        product = np.dot(
+            t.transpose(keep_ax + traced_ax).reshape(n, -1),
+            t.conj().transpose(traced_ax + keep_ax).reshape(-1, n),
+        )
         reduced = np.conjugate(product.T, order="C")
         reduced += product
         reduced /= 2.0
@@ -487,7 +506,7 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
         for pos in sorted(
             (available.index(s) for s in available if s not in kept), reverse=True
         ):
-            reduced = np.trace(reduced, axis1=pos, axis2=pos + n_factors)
+            reduced = reduced.trace(axis1=pos, axis2=pos + n_factors)
             n_factors -= 1
         kept_dims = tuple(state.dims[available.index(s)] for s in kept)
     else:

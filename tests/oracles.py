@@ -4,7 +4,8 @@ Everything here works by explicit scalar loops and flat-index arithmetic,
 or by a dense einsum the package no longer uses, so that it shares no code
 path with the package implementation it checks.  The heap phase tree and
 the cluster loop are the package's earlier code, kept as written so that
-tests can hold their replacements to the same output.
+tests can hold their replacements to the same output; so are the contract
+rules ``full_*``, as they were before their exact-type early returns.
 """
 
 import heapq
@@ -12,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from tripure import PhaseGraphDisconnected, PhaseInconsistency
+from tripure import ContractError, PhaseGraphDisconnected, PhaseInconsistency
 
 
 def partial_trace_pure_loops(amplitudes, dims, keep_labels):
@@ -334,3 +335,47 @@ def degeneracy_clusters_loop(eigenvalues, rank, gap_tol):
     if len(current) > 1:
         clusters.append(current)
     return clusters
+
+
+def full_integer(name, value, least=1):
+    """``states._integer`` before its early return for an exact ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise ContractError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def full_positive_real(name, value):
+    """``states._positive_real`` before its early return for an exact ``float``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        h = float(value) if real else np.nan
+    except OverflowError:
+        h = np.inf
+    if not 0.0 < h < np.inf:
+        raise ContractError(f"{name} must be a positive finite real, got {value!r}")
+    return h
+
+
+def full_open_unit(name, value):
+    """``states._open_unit`` over ``full_positive_real``."""
+    x = full_positive_real(name, value)
+    if x >= 1.0:
+        raise ContractError(f"{name} must lie in (0, 1), got {value!r}")
+    return x
+
+
+def full_array(name, value, shape=None, dtype=complex):
+    """``states._array`` before its early return for an ndarray of ``dtype``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype == bool or not np.can_cast(arr.dtype, dtype, "same_kind"):
+        raise ContractError(f"{name} must be numeric, got {type(value).__name__}")
+    arr = arr.astype(dtype, copy=False)
+    if shape is not None and arr.shape != shape:
+        raise ContractError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ContractError(f"{name} has non-finite entries")
+    return arr

@@ -7,6 +7,9 @@ The call must return, or raise ContractError or an AlgorithmError.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tripure import (
     AlgorithmError,
@@ -42,6 +45,9 @@ from tripure import (
     solve_phases,
 )
 from tripure.serialize import dumps, loads, read_matrix_file, write_matrix_file
+from tripure.states import _array, _integer, _open_unit, _positive_real
+
+from oracles import full_array, full_integer, full_open_unit, full_positive_real
 
 DIMS = Dims(2, 2, 2)
 PSI = sample_haar_state(DIMS, 5)
@@ -261,6 +267,62 @@ def test_numeric_refusal_names_the_type_not_the_repr():
     with pytest.raises(ContractError) as caught:
         DensityMatrix(("A", "B"), (300, 300), junk)
     assert str(caught.value) == "matrix must be numeric, got ndarray"
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+NUMPY_SCALAR_DTYPES = ["int8", "int32", "int64", "uint8", "uint64",
+                       "float16", "float32", "float64", "longdouble", "complex128"]
+ARRAY_DTYPES = ["bool", "int8", "int64", "uint16", "float32", "float64",
+                "complex64", "complex128", ">c16", "U1", "object"]
+
+# Every kind of value a rule meets: the exact types its early return takes,
+# and the lookalikes it must leave to the full check.
+RULE_INPUTS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([True, False, 0.0, -0.0, 5e-324, 1.0, float("nan"), float("inf"),
+                     float("-inf"), 10**400, -(10**400), 2**63, 2**64]),
+    st.builds(_Int, st.integers()),
+    st.builds(_Float, st.floats()),
+    st.sampled_from(NUMPY_SCALAR_DTYPES).flatmap(lambda d: hnp.from_dtype(np.dtype(d))),
+    hnp.arrays(st.sampled_from(ARRAY_DTYPES), hnp.array_shapes(min_dims=0, max_dims=2)),
+    st.sampled_from(list(JUNK.values())),
+)
+
+
+def rule_outcome(rule, *args):
+    """What a rule gives: its result's type and exact bits, or its error's class and message."""
+    try:
+        result = rule(*args)
+    except Exception as exc:  # any class is an outcome to compare
+        return ("raised", type(exc), str(exc))
+    if isinstance(result, np.ndarray):
+        return ("array", type(result), result.dtype, result.shape, result.tobytes())
+    return ("value", type(result), repr(result))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(RULE_INPUTS, st.sampled_from([0, 1]))
+def test_scalar_rules_match_their_full_check(value, least):
+    assert rule_outcome(_integer, "n", value, least) == rule_outcome(full_integer, "n", value, least)
+    assert rule_outcome(_positive_real, "x", value) == rule_outcome(full_positive_real, "x", value)
+    assert rule_outcome(_open_unit, "x", value) == rule_outcome(full_open_unit, "x", value)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(RULE_INPUTS, st.sampled_from([complex, float, int]), st.sampled_from(["own", None, (2,)]))
+def test_array_rule_matches_its_full_check(value, dtype, shape):
+    if shape == "own":
+        shape = np.shape(value) if isinstance(value, np.ndarray) else ()
+    args = ("a", value, shape, dtype)
+    assert rule_outcome(_array, *args) == rule_outcome(full_array, *args)
 
 
 def malformed_decomposition(**fields):

@@ -160,6 +160,43 @@ class TestValidateOnce:
         assert len(validations) == 1
 
 
+class TestDefaultConfigBuiltOnce:
+    """A run given no config shares one validated default instead of building its own."""
+
+    @pytest.fixture
+    def config_builds(self, monkeypatch):
+        calls = []
+        build = ReconstructionConfig.__post_init__
+
+        def spy(cfg):
+            calls.append(cfg)
+            build(cfg)
+
+        monkeypatch.setattr(ReconstructionConfig, "__post_init__", spy)
+        return calls
+
+    def test_roundtrip_builds_no_config(self, config_builds):
+        for seed in range(3):
+            assert roundtrip(sample_haar_state(Dims(2, 3, 4), seed)).outcome == "success"
+        assert config_builds == []
+
+    def test_reconstruct_without_config_builds_none(self, config_builds):
+        psi = sample_haar_state(Dims(3, 3, 3), 4)
+        rho_ab, rho_bc = partial_trace(psi, "AB"), partial_trace(psi, "BC")
+        report = reconstruct_tripartite(rho_ab, rho_bc, psi.dims, config=None)
+        assert fidelity(psi, report.state) >= 1.0 - 1e-12
+        assert config_builds == []
+
+    def test_given_config_is_still_used(self):
+        psi = sample_haar_state(Dims(3, 3, 3), 4)
+        rho_ab, rho_bc = partial_trace(psi, "AB"), partial_trace(psi, "BC")
+        tight = ReconstructionConfig(marginal_tol=1e-30)
+        assert roundtrip(psi, tight).outcome == "MarginalInconsistency"
+        with pytest.raises(MarginalInconsistency):
+            reconstruct_tripartite(rho_ab, rho_bc, psi.dims, tight)
+        assert roundtrip(psi).outcome == "success"
+
+
 HAAR_SMALL_DIMS = ((2, 2, 2), (2, 3, 4), (3, 3, 3), (4, 4, 4), (2, 5, 3), (3, 4, 2))
 
 

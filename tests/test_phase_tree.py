@@ -163,10 +163,42 @@ def test_tree_matches_heap_traversal(r_a, r_c, seed, density, scale, consistent,
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("consistent", [True, False])
-@pytest.mark.parametrize("shape", [(4, 32), (32, 4), (16, 16)])
+@pytest.mark.parametrize("shape", [(4, 32), (32, 4), (16, 16), (32, 32), (64, 64)])
 def test_large_trees_match_heap_traversal(shape, consistent, strategy):
     rng = np.random.default_rng([0, *shape, consistent])
     w = planted_weights(rng, *shape, density=1.0, scale=10, consistent=consistent)
     # The planted graph is connected, so whole trees are compared, not errors.
+    solve_phases_heap(w, phase_tol=10.0, tree_strategy=strategy)
+    assert_matches_heap(w, strategy, phase_tol=10.0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("consistent", [True, False])
+@pytest.mark.parametrize("shape", [(1, 64), (64, 1)])
+def test_thin_trees_match_heap_traversal(shape, consistent, strategy):
+    # Every edge of a one-row or one-column graph is a bridge, so the planted
+    # zero and weak edges disconnect it: the refusal is compared first, then
+    # the whole tree once those edges are given a usable weight.
+    rng = np.random.default_rng([0, *shape, consistent])
+    w = planted_weights(rng, *shape, density=1.0, scale=10, consistent=consistent)
+    with pytest.raises(PhaseGraphDisconnected):
+        solve_phases_heap(w, phase_tol=10.0, tree_strategy=strategy)
+    assert_matches_heap(w, strategy, phase_tol=10.0)
+    w = np.where(np.abs(w) < 0.05, 0.5j, w)
+    solve_phases_heap(w, phase_tol=10.0, tree_strategy=strategy)
+    assert_matches_heap(w, strategy, phase_tol=10.0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("consistent", [True, False])
+def test_tied_trees_match_heap_traversal(consistent, strategy):
+    # scale = 1 makes every usable magnitude |e^{i theta}|, which rounds to
+    # one of a few floats, so most max_weight steps are decided by the
+    # lowest-(i, k) tie rule.
+    rng = np.random.default_rng([1, 16, 16, consistent])
+    w = planted_weights(rng, 16, 16, density=1.0, scale=1, consistent=consistent)
+    mags = np.abs(w)
+    _, counts = np.unique(mags[mags > 1e-3], return_counts=True)
+    assert counts.max() > 64
     solve_phases_heap(w, phase_tol=10.0, tree_strategy=strategy)
     assert_matches_heap(w, strategy, phase_tol=10.0)
