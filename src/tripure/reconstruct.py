@@ -38,6 +38,7 @@ from .states import (
     _array,
     _choice,
     _instance,
+    _integer,
     _open_unit,
     _positive_real,
     _residual_norm,
@@ -318,9 +319,10 @@ def assemble_state(
 ) -> PureState:
     """Assemble the Schmidt form across the A|BC cut with the given branch phases.
 
-    The global phase is fixed by rotating the largest-modulus amplitude to
-    the positive real axis (ties broken by lowest flat index), so equal
-    states assemble to identical vectors.
+    Branch i joins the i-th eigenpairs of ``spec_a`` and ``spec_bc``; both
+    ranks must be ``pairing.rank``.  The global phase is fixed by rotating
+    the largest-modulus amplitude to the positive real axis (ties broken by
+    lowest flat index), so equal states assemble to identical vectors.
     """
     _instance("pairing", pairing, SpectrumPairing)
     _instance("spec_a", spec_a, SpectralDecomposition)
@@ -329,16 +331,14 @@ def assemble_state(
     if spec_a.original_dim != dims.d_a or spec_bc.original_dim != dims.d_b * dims.d_c:
         raise ContractError("decompositions do not match dims")
     a_phases = _array("a_phases", a_phases, (spec_a.rank,), dtype=float)
-    perm = _array("pairing.permutation", pairing.permutation, (spec_a.rank,), dtype=int)
-    idx = perm.tolist()
-    if idx and not 0 <= min(idx) <= max(idx) < spec_bc.rank:
+    rank = _integer("pairing.rank", pairing.rank, 0)
+    if not rank == spec_a.rank == spec_bc.rank:
         raise ContractError(
-            f"pairing.permutation entries must lie in [0, {spec_bc.rank}), "
-            f"got {min(idx)}..{max(idx)}"
+            f"pairing.rank {rank} must equal spec_a.rank {spec_a.rank} "
+            f"and spec_bc.rank {spec_bc.rank}"
         )
     weights = np.exp(1j * a_phases) * np.sqrt(spec_a.eigenvalues)
-    partners = spec_bc.eigenvectors[:, perm]
-    amps = ((spec_a.eigenvectors * weights) @ partners.T).reshape(-1)
+    amps = ((spec_a.eigenvectors * weights) @ spec_bc.eigenvectors.T).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     lead = amps[np.argmax(np.abs(amps))]
     amps = amps * (lead.conjugate() / abs(lead))

@@ -328,8 +328,8 @@ def _flat_document(text: str) -> dict | None:
     and converted as ``float()`` converts it.  Mapped, not deleted: a stray
     digit after a bracket must not run into the exponent before it.  Any
     other text, and any failure here (orjson also refuses a token that
-    overflows to infinity), gives None, and the nested parse then reports
-    the text as it always has.
+    overflows to infinity), gives None, and the nested parse then reads the
+    text and reports what is wrong with it.
     """
     start = text.find(_DATA_OPEN)
     if start < 0 or not text.endswith(_DATA_CLOSE) or not text.isascii():

@@ -56,9 +56,9 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class SpectrumPairing:
-    """Index map between two retained spectra plus the worst matched gap."""
+    """Two retained spectra of ``rank`` eigenpairs, paired i-th with i-th, and their worst gap."""
 
-    permutation: np.ndarray
+    rank: int
     max_pair_gap: float
 
 
@@ -73,8 +73,8 @@ def _truncate(
     their eigenvalues, so by the triangle inequality the truncated residual
     is at most ``residual + ||discarded||_2``; no n x n product is formed.
     Ascending order puts the kept pairs last, so they are sliced rather than
-    masked out; the 2-norm is ``np.linalg.norm``'s ``sqrt(d @ d)`` of the
-    discarded eigenvalues ``d``, descending as before, without its wrapper.
+    masked out; the 2-norm of the discarded eigenvalues ``d``, descending,
+    is ``sqrt(d @ d)``, the value ``np.linalg.norm(d)`` gives.
     """
     desc, kept = vals[::-1], int(np.count_nonzero(vals > rank_threshold))
     kept_vals = np.ascontiguousarray(desc[:kept])
@@ -159,7 +159,7 @@ def match_spectra(
     spec_bc: SpectralDecomposition,
     pair_tol: float = 1e-8,
 ) -> SpectrumPairing:
-    """Pair two descending retained spectra that must agree eigenvalue by eigenvalue.
+    """Pair two descending retained spectra position by position, the i-th with the i-th.
 
     Raises GenericityViolation if either spectrum has a cluster tighter than
     ``pair_tol`` (the pairing would be meaningless), and SpectrumMismatch if
@@ -185,4 +185,4 @@ def match_spectra(
         raise SpectrumMismatch(
             f"paired eigenvalues differ by up to {max_gap:.3e} (> {pair_tol:.1e})"
         )
-    return SpectrumPairing(permutation=np.arange(spec_a.rank), max_pair_gap=max_gap)
+    return SpectrumPairing(rank=spec_a.rank, max_pair_gap=max_gap)

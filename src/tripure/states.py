@@ -305,7 +305,7 @@ class Dims:
         return self.d_a * self.d_b * self.d_c
 
     def of(self, label: str) -> int:
-        return dict(zip(SUBSYSTEM_LABELS, self.as_tuple()))[label]
+        return self.as_tuple()[SUBSYSTEM_LABELS.index(_choice("label", label, SUBSYSTEM_LABELS))]
 
 
 def flat_index(i: int, j: int, k: int, dims: Dims) -> int:
@@ -488,8 +488,7 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
         t = state.as_tensor()
         kept_dims = tuple(state.dims.as_tuple()[ax] for ax in keep_ax)
         n = math.prod(kept_dims)
-        # The product np.tensordot(t, t.conj(), (traced_ax, traced_ax)) forms,
-        # with the same operands, without its argument handling.
+        # t and t.conj() contracted over the traced axes, as one n x n matrix product.
         product = np.dot(
             t.transpose(keep_ax + traced_ax).reshape(n, -1),
             t.conj().transpose(traced_ax + keep_ax).reshape(-1, n),

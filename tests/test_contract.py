@@ -132,6 +132,7 @@ ENTRY_POINTS = {
     "purity": (purity, {"rho": RHO_AB}),
     "grid_fidelity": (grid_fidelity, {"g1": GRID, "g2": GRID}),
     "Dims": (Dims, {"d_a": 2, "d_b": 2, "d_c": 2}),
+    "Dims.of": (DIMS.of, {"label": "A"}),
     "PureState": (PureState, {"dims": DIMS, "amplitudes": PSI.amplitudes}),
     "DensityMatrix": (
         DensityMatrix,
@@ -197,6 +198,7 @@ def test_junk_argument_is_refused_by_the_contract(entry, arg, value):
         (lambda: DensityMatrix([np.ones(2)], (2,), np.eye(2) / 2),
          "subsystems must be one of"),
         (lambda: solve_phases(EDGES, tree_strategy=None), "tree_strategy must be one of"),
+        (lambda: DIMS.of("X"), r"^label must be one of \('A', 'B', 'C'\), got 'X'$"),
         (lambda: sample_haar_state((2, 2, 2), 1), "dims must be a Dims, got tuple"),
         (lambda: reconstruct_tripartite(RHO_AB.matrix, RHO_BC, DIMS),
          "rho_ab must be a DensityMatrix, got ndarray"),
@@ -244,7 +246,7 @@ def test_junk_argument_is_refused_by_the_contract(entry, arg, value):
         "entries-shape", "entries-dims", "array-mixed", "array-bool", "array-ragged",
         "array-ndim", "array-shape", "array-finite", "choice-plane", "choice-profile",
         "choice-keep",
-        "choice-subsystems", "choice-strategy",
+        "choice-subsystems", "choice-strategy", "choice-Dims.of",
         "instance-dims", "instance-rho_ab", "instance-config", "instance-psi", "instance-rho",
         "instance-psi2", "instance-purity", "instance-g1",
         "instance-match_spectra", "instance-detect_degeneracy", "instance-coefficient_tensors",
@@ -345,22 +347,22 @@ def malformed_decomposition(**fields):
          r"eigenvectors has shape \(2, 2\), expected \(3, 2\)"),
         (lambda: malformed_decomposition(eigenvalues=np.diag(SPEC["A"].eigenvalues)),
          r"eigenvalues must be a 1-d array, got shape \(2, 2\)"),
-        (lambda: assemble_state(SpectrumPairing(np.array([0, SPEC["BC"].rank]), 0.0), SPEC["A"],
-                                SPEC["BC"], SOLUTION.a_phases, DIMS),
-         r"pairing.permutation entries must lie in \[0, 2\), got 0..2"),
-        (lambda: assemble_state(SpectrumPairing(np.array([-1, 0]), 0.0), SPEC["A"],
-                                SPEC["BC"], SOLUTION.a_phases, DIMS),
-         r"pairing.permutation entries must lie in \[0, 2\), got -1..0"),
-        (lambda: assemble_state(SpectrumPairing(np.arange(3), 0.0), SPEC["A"], SPEC["BC"],
+        (lambda: assemble_state(SpectrumPairing(3, 0.0), SPEC["A"], SPEC["BC"],
                                 SOLUTION.a_phases, DIMS),
-         r"pairing.permutation has shape \(3,\), expected \(2,\)"),
-        (lambda: assemble_state(SpectrumPairing(np.array([0.0, 1.0]), 0.0), SPEC["A"],
-                                SPEC["BC"], SOLUTION.a_phases, DIMS),
-         "pairing.permutation must be numeric, got ndarray"),
+         r"^pairing.rank 3 must equal spec_a.rank 2 and spec_bc.rank 2$"),
+        (lambda: assemble_state(SpectrumPairing(np.array(2), 0.0), SPEC["A"], SPEC["BC"],
+                                SOLUTION.a_phases, DIMS),
+         r"^pairing.rank must be a non-negative integer, got array\(2\)$"),
+        (lambda: assemble_state(SpectrumPairing(2.0, 0.0), SPEC["A"], SPEC["BC"],
+                                SOLUTION.a_phases, DIMS),
+         r"^pairing.rank must be a non-negative integer, got 2.0$"),
+        (lambda: assemble_state(PAIRING, SPEC["A"], SpectralDecomposition(
+            SPEC["BC"].eigenvalues, SPEC["BC"].eigenvectors, 4, 1), SOLUTION.a_phases, DIMS),
+         r"^pairing.rank 2 must equal spec_a.rank 2 and spec_bc.rank 1$"),
     ],
     ids=["rank-above-eigenvalues", "rank-negative", "eigenvector-rows", "original_dim",
-         "eigenvalues-2d", "permutation-too-large",
-         "permutation-negative", "permutation-length", "permutation-float"],
+         "eigenvalues-2d", "pairing-rank-3",
+         "pairing-rank-array", "pairing-rank-float", "pairing-rank-unequal-spectra"],
 )
 def test_malformed_decompositions_and_pairings_are_refused(call, message):
     """Decompositions are checked where built and pairings where used: never IndexError."""

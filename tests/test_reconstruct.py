@@ -236,7 +236,7 @@ def planted_schmidt_pieces():
     bc_vectors[0, 0] = 1.0  # |00>
     bc_vectors[3, 1] = 1.0  # |11>
     spec_bc = SpectralDecomposition(np.array([0.7, 0.3]), bc_vectors, 4, 2)
-    pairing = SpectrumPairing(np.arange(2), 0.0)
+    pairing = SpectrumPairing(2, 0.0)
     return pairing, spec_a, spec_bc
 
 
@@ -385,6 +385,44 @@ class TestReconstructTripartite:
         _, rho_bc = marginal_pair(haar(2, 2, 2, 5015))
         with pytest.raises(MarginalInconsistency):
             reconstruct_tripartite(rho_ab, rho_bc, Dims(2, 2, 2))
+
+
+def staged_pipeline(rho_ab, rho_bc, dims):
+    """The stages of ``reconstruct_tripartite``, called one by one through the public API."""
+    rho_b_ab = partial_trace(rho_ab, ("B",)).matrix
+    rho_b_bc = partial_trace(rho_bc, ("B",)).matrix
+    # a validated copy of the average has the bits of the derived one the pipeline builds
+    rho_b = DensityMatrix(("B",), (dims.d_b,), (rho_b_ab + rho_b_bc) / 2.0)
+    spec_a = eig_hermitian(partial_trace(rho_ab, ("A",)))
+    spec_b = eig_hermitian(rho_b)
+    spec_c = eig_hermitian(partial_trace(rho_bc, ("C",)))
+    spec_ab = eig_hermitian(rho_ab, rank_bound=spec_c.rank)
+    spec_bc = eig_hermitian(rho_bc, rank_bound=spec_a.rank)
+    pairing = match_spectra(spec_a, spec_bc)
+    coeffs = coefficient_tensors(spec_bc, spec_ab, spec_a, spec_b, spec_c, dims)
+    solution = solve_phases(phase_edges(coeffs))
+    return assemble_state(pairing, spec_a, spec_bc, solution.a_phases, dims)
+
+
+def validated_marginals(psi):
+    """``marginal_pair(psi)`` rebuilt as validated inputs, which keep their range sketch."""
+    return tuple(
+        DensityMatrix(rho.subsystems, rho.dims, rho.matrix) for rho in marginal_pair(psi)
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, inputs",
+    [(dims, marginal_pair) for dims in
+     [(2, 2, 2), (2, 3, 4), (3, 3, 3), (4, 4, 4), (2, 5, 3), (3, 4, 2)]]
+    + [((4, 32, 32), validated_marginals)],
+)
+def test_staged_api_reproduces_the_pipeline_bit_for_bit(dims, inputs):
+    psi = haar(*dims, 11)
+    rho_ab, rho_bc = inputs(psi)
+    report = reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+    staged = staged_pipeline(rho_ab, rho_bc, psi.dims)
+    assert staged.amplitudes.tobytes() == report.state.amplitudes.tobytes()
 
 
 class TestPipelineInvariants:
