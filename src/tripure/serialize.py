@@ -169,12 +169,19 @@ def dumps(obj: PureState | DensityMatrix | GridWavefunction) -> str:
 
 
 def _fspath(path) -> str:
-    """``path`` as a str; ContractError for what ``os.fspath`` refuses, an int fd or None."""
+    """``path`` as a str.
+
+    ContractError for what ``os.fspath`` refuses, an int fd or None, and for
+    a path with a NUL byte, which no file system call accepts.
+    """
     try:
-        return os.fsdecode(path)
+        path = os.fsdecode(path)
     except TypeError:
         kind = type(path).__name__
         raise ContractError(f"path must be a str, bytes or os.PathLike, got {kind}") from None
+    if "\0" in path:
+        raise ContractError(f"path must not contain a NUL byte, got {path!r}")
+    return path
 
 
 def _staged_target(path) -> tuple[str | None, int | None]:

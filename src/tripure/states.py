@@ -8,10 +8,8 @@ The same convention orders the rows and columns of every density matrix.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,47 +38,6 @@ _SYMMETRIZE_ENTRIES = 1 << 14
 # Side of the tiles of the conjugate transpose: a 32 x 32 complex tile is
 # 16 KiB, so a source tile and its destination fit in L1 together.
 _TILE = 32
-
-# glibc mallopt parameters (malloc.h) and the size from which a buffer gets
-# its own mapping: numpy asks for huge pages from 4 MiB up, so a fresh
-# mapping of a large matrix faults in 2 MiB at a time.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 1 << 22
-
-
-def _fix_mmap_threshold(environ=os.environ, mallopt=None) -> bool:
-    """Give every buffer of ``_MMAP_THRESHOLD`` bytes or more its own mapping, under glibc.
-
-    By default glibc raises its mmap threshold to the size of the largest
-    buffer freed, up to 32 MiB.  After the first n x n matrix is freed, the
-    next ones are then carved from the heap, and whether a freed matrix's
-    pages are reused or fresh ones are touched depends on every allocation
-    made before: the peak memory of a loop over 1024 x 1024 marginals
-    moved between ~80 and ~93 MB from run to run and with edits to a module
-    the loop never ran.  Setting the threshold turns that adjustment off,
-    so a large matrix is mapped when allocated and unmapped when freed; the
-    trim threshold is set to twice it, the pair glibc itself would pick.  A
-    threshold set in the environment is left alone, and under another C
-    library nothing is done.  Returns whether the thresholds were set.
-    """
-    if "MALLOC_MMAP_THRESHOLD_" in environ or "mmap_threshold" in environ.get("GLIBC_TUNABLES", ""):
-        return False
-    if mallopt is None:
-        try:
-            if not os.confstr("CS_GNU_LIBC_VERSION"):
-                return False
-            mallopt = ctypes.CDLL(None).mallopt
-        except (AttributeError, OSError, TypeError, ValueError):
-            return False
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and bool(
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
-    )
-
-
-_fix_mmap_threshold()
 
 
 def _integer(name: str, value, least: int = 1) -> int:

@@ -415,8 +415,11 @@ def test_junk_file_argument_is_refused_by_the_contract(file_cwd, entry, arg, val
         (lambda: read_matrix_file(None), "path must be a str, bytes or os.PathLike, got NoneType"),
         (lambda: write_matrix_file(-3, PSI), "path must be a str, bytes or os.PathLike, got int"),
         (lambda: loads(b"{}"), "text must be a str, got bytes"),
+        (lambda: read_matrix_file("a\0b"), "path must not contain a NUL byte"),
+        (lambda: write_matrix_file("a\0b", PSI), "path must not contain a NUL byte"),
+        (lambda: read_matrix_file(b"a\0b"), "path must not contain a NUL byte"),
     ],
-    ids=["read-none", "write-int", "loads-bytes"],
+    ids=["read-none", "write-int", "loads-bytes", "read-nul", "write-nul", "read-bytes-nul"],
 )
 def test_file_rule_names_its_argument(file_cwd, call, message):
     with pytest.raises(ContractError, match=message):

@@ -19,6 +19,7 @@ from tripure import (
     PhaseInconsistency,
     PureState,
     ReconstructionConfig,
+    SpectrumMismatch,
     assemble_state,
     coefficient_tensors,
     compatibility_residual,
@@ -385,6 +386,51 @@ class TestReconstructTripartite:
         _, rho_bc = marginal_pair(haar(2, 2, 2, 5015))
         with pytest.raises(MarginalInconsistency):
             reconstruct_tripartite(rho_ab, rho_bc, Dims(2, 2, 2))
+
+
+def unrelated_marginals(psi, seed):
+    """``rho_AB`` of ``psi`` and ``rho_BC`` of an independent Haar state: ``rho_B`` disagrees."""
+    other = haar(*psi.dims.as_tuple(), 5000 + seed)
+    return partial_trace(psi, ("A", "B")), partial_trace(other, ("B", "C"))
+
+
+def ac_rotated_marginals(psi, seed):
+    """``rho_AB`` of ``psi`` and ``rho_BC`` of ``(U_AC (x) 1_B) psi`` for a Haar ``U_AC``.
+
+    ``rho_B`` agrees, but the A|BC spectrum of the rotated state is another one.
+    """
+    d_a, _, d_c = psi.dims.as_tuple()
+    u_ac = haar_unitary(d_a * d_c, np.random.default_rng(seed)).reshape(d_a, d_c, d_a, d_c)
+    tensor = np.einsum("acik,ijk->ajc", u_ac, psi.as_tensor())
+    rotated_psi = PureState(psi.dims, tensor.reshape(-1))
+    return partial_trace(psi, ("A", "B")), partial_trace(rotated_psi, ("B", "C"))
+
+
+def mixed_marginals(psi, seed):
+    """Both marginals of ``0.95 |psi><psi| + 0.05 |phi><phi|`` for an independent Haar ``phi``."""
+    phi = haar(*psi.dims.as_tuple(), 5000 + seed)
+    full = 0.95 * np.outer(psi.amplitudes, psi.amplitudes.conj())
+    full += 0.05 * np.outer(phi.amplitudes, phi.amplitudes.conj())
+    rho_abc = DensityMatrix(("A", "B", "C"), psi.dims.as_tuple(), full)
+    return partial_trace(rho_abc, ("A", "B")), partial_trace(rho_abc, ("B", "C"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 8)], ids=str)
+@pytest.mark.parametrize(
+    "plant, refusal",
+    [
+        (unrelated_marginals, MarginalInconsistency),
+        (ac_rotated_marginals, SpectrumMismatch),
+        (mixed_marginals, SpectrumMismatch),
+    ],
+    ids=["unrelated", "ac-rotated", "mixed"],
+)
+def test_planted_family_gets_its_exact_refusal(plant, refusal, dims, seed):
+    psi = haar(*dims, seed)
+    with pytest.raises(AlgorithmError) as caught:
+        reconstruct_tripartite(*plant(psi, seed), psi.dims)
+    assert type(caught.value) is refusal
 
 
 def staged_pipeline(rho_ab, rho_bc, dims):

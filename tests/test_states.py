@@ -1,6 +1,4 @@
 import itertools
-import os
-import platform
 from collections import Counter
 
 import numpy as np
@@ -630,43 +628,6 @@ class TestMemoryPeak:
         rho_bc = DensityMatrix(("B", "C"), (32, 32), partial_trace(psi, ("B", "C")).matrix)
         peak = peak_bytes(lambda: reconstruct_tripartite(rho_ab, rho_bc, psi.dims))
         assert peak <= 6 * self.MIB
-
-
-def in_heap(address: int) -> bool:
-    with open("/proc/self/maps", encoding="ascii") as maps:
-        for line in maps:
-            if line.rstrip().endswith("[heap]"):
-                lo, hi = (int(x, 16) for x in line.split()[0].split("-"))
-                if lo <= address < hi:
-                    return True
-    return False
-
-
-class TestMmapThreshold:
-    def test_sets_the_threshold_and_twice_it_as_trim_threshold(self):
-        calls = []
-        assert states._fix_mmap_threshold({}, lambda *args: calls.append(args) or 1)
-        assert calls == [(-3, 4 << 20), (-1, 8 << 20)]
-
-    @pytest.mark.parametrize(
-        "environ",
-        [{"MALLOC_MMAP_THRESHOLD_": "131072"}, {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=0"}],
-    )
-    def test_leaves_a_threshold_from_the_environment(self, environ):
-        calls = []
-        assert not states._fix_mmap_threshold(environ, lambda *args: calls.append(args) or 1)
-        assert calls == []
-
-    @pytest.mark.skipif(
-        platform.libc_ver()[0] != "glibc" or "MALLOC_MMAP_THRESHOLD_" in os.environ,
-        reason="glibc with its default thresholds only",
-    )
-    def test_a_large_matrix_allocated_after_one_was_freed_is_not_in_the_heap(self):
-        # glibc's dynamic threshold would place the second one in the heap.
-        first = np.ones((1024, 1024), dtype=complex)
-        del first
-        second = np.ones((1024, 1024), dtype=complex)
-        assert not in_heap(second.ctypes.data)
 
 
 class TestMalformedSizes:
