@@ -96,12 +96,13 @@ def eig_hermitian(
 
     ``rank_bound`` is the rank the caller expects, such as the rank of the
     complementary marginal.  When it is given, the range sketch that
-    ``states._sketch_for`` takes or reuses for it is tried first.  The
-    sketch is accepted only if the bound on its truncated residual ``R`` is
-    at most ``rank_threshold`` (and ``RANK_LEAK_TOL``): by Weyl's inequality
-    every eigenvalue it missed is at most ``||R||_2 <= ||R||_F``, so it
-    keeps what a full solve keeps.  Otherwise, or when the matrix is too
-    small to sketch, the full dense solve runs as if no bound were given.
+    ``states._sketch_for`` takes for it is tried first: the one stored when
+    ``rho`` was validated if that used the same probe count, else a new one.
+    The sketch is accepted only if the bound on its truncated residual ``R``
+    is at most ``rank_threshold`` (and ``RANK_LEAK_TOL``): by Weyl's
+    inequality every eigenvalue it missed is at most ``||R||_2 <= ||R||_F``,
+    so it keeps what a full solve keeps.  Otherwise, or when the matrix is
+    too small to sketch, the full dense solve runs as if no bound were given.
     """
     m = _instance("rho", rho, DensityMatrix).matrix
     rank_threshold = _open_unit("rank_threshold", rank_threshold)
@@ -109,7 +110,7 @@ def eig_hermitian(
     if rank_bound is not None:
         sketch = _sketch_for(m, _integer("rank_bound", rank_bound), rho._sketch)
         if sketch is not None:
-            vals, vecs, residual = _truncate(*sketch, rank_threshold)
+            vals, vecs, residual = _truncate(*sketch[:3], rank_threshold)
             if residual <= min(rank_threshold, RANK_LEAK_TOL):
                 kept_vals, kept_vecs = vals, vecs
     if kept_vals is None:

@@ -26,7 +26,7 @@ PSD_TOL = 1e-9
 # Low-rank sketch: probe columns beyond the expected rank, the least matrix
 # size per probe column worth sketching, and the probes' fixed seed.
 SKETCH_OVERSAMPLE = 8
-SKETCH_MIN_RATIO = 8
+SKETCH_MIN_RATIO = 3
 SKETCH_SEED = 403200
 
 # Complex entries per row block of the residual passes (1 MiB), so no
@@ -102,13 +102,13 @@ def _entries(name: str, values, check, length: int) -> tuple:
     return tuple(check(f"{name}[{idx}]", v) for idx, v in enumerate(values))
 
 
-def _array(name: str, value, shape: tuple | None = None, dtype=complex) -> np.ndarray:
-    """``value`` as a finite ``dtype`` array, of ``shape`` when one is given.
+def _numeric(name: str, value, shape: tuple | None = None, dtype=complex) -> np.ndarray:
+    """``value`` as a ``dtype`` array, of ``shape`` when one is given; entries may be non-finite.
 
     Non-numeric content, booleans included, is refused by its type name,
     since a matrix repr can be huge.  An exact ``ndarray`` that already has
     ``dtype``, the common case, is used as it is, without the conversion;
-    its shape and finiteness are still checked.
+    its shape is still checked.
     """
     if type(value) is np.ndarray and value.dtype == dtype:
         arr = value
@@ -122,6 +122,12 @@ def _array(name: str, value, shape: tuple | None = None, dtype=complex) -> np.nd
         arr = arr.astype(dtype, copy=False)
     if shape is not None and arr.shape != shape:
         raise ContractError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _array(name: str, value, shape: tuple | None = None, dtype=complex) -> np.ndarray:
+    """``value`` as a finite ``dtype`` array, of ``shape`` when one is given (``_numeric``)."""
+    arr = _numeric(name, value, shape, dtype)
     if not np.isfinite(arr).all():
         raise ContractError(f"{name} has non-finite entries")
     return arr
@@ -180,8 +186,27 @@ def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]
 
     Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53:217,
     2011) with fixed-seed complex Gaussian probes (``_probes``), so reruns
-    are identical.  Returns k eigenpairs in ascending order, as
-    ``numpy.linalg.eigh`` does, and the Frobenius norm of the residual
+    are identical.  ``Y = m P`` is orthonormalized through its Gram matrix,
+    by matrix products and small eigensolves only, so its bits do not
+    depend on the BLAS thread count, as a Householder QR's completion of a
+    rank-deficient ``Y`` does.  With ``Y^dag Y = U diag(w) U^dag``, the
+    columns of ``Y U / sqrt(w)`` whose ``w`` exceeds ``PSD_TOL`` times the
+    largest are kept.  ``w`` is resolved only to about eps times the
+    largest, so they are orthonormal only to about eps / ``PSD_TOL``, 2e-7,
+    and one more pass (CholeskyQR2; Yamamoto et al., ETNA 44:306, 2015)
+    takes that down to rounding.  The rest of ``Y``, with the kept
+    directions projected out, is treated the same way until it is below
+    ``n * eps`` of ``Y``, the rounding of the sums that formed it.  So a
+    direction far below ``sqrt(eps)`` of the largest, which one Gram
+    eigensolve cannot resolve, still gets a column of its own and does not
+    tilt the eigenvectors of the directions above it.  Dropping a column
+    cannot make a certificate accept a wrong matrix: the residual below is
+    formed from ``m`` itself, so it sums every direction the kept columns
+    miss.
+
+    Rayleigh-Ritz on the kept columns ``Q`` (the eigenpairs of the small
+    ``Q^dag m Q``) gives one eigenpair per kept column in ascending order,
+    as ``numpy.linalg.eigh`` does, and the Frobenius norm of the residual
     ``m - V diag(lam) V^dag``.  That residual is Hermitian, so each row
     block forms it only from its diagonal block rightwards and counts the
     part right of the diagonal block twice: a blocked sum of squares over
@@ -189,7 +214,20 @@ def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]
     ``np.linalg.norm`` and is only compared with tolerances.
     """
     n = m.shape[0]
-    q, _ = np.linalg.qr(m @ _probes(n, k))
+    y = m @ _probes(n, k)
+    floor = (n * np.finfo(float).eps) ** 2 * np.vdot(y, y).real
+    q = y[:, :0]
+    # "not <=" lets a NaN in, from an input whose symmetrization overflowed,
+    # so that eigh raises LinAlgError rather than leaving an empty sketch.
+    while y.shape[1] and not np.vdot(y, y).real <= floor:
+        w, u = np.linalg.eigh(y.conj().T @ y)
+        drop = w.size - int(np.count_nonzero(w > PSD_TOL * w[-1]))
+        block = y @ (u[:, drop:] / np.sqrt(w[drop:]))
+        block -= q @ (q.conj().T @ block)
+        w, v = np.linalg.eigh(block.conj().T @ block)
+        q = np.hstack([q, block @ (v / np.sqrt(w))])
+        y = y @ u[:, :drop]
+        y -= q @ (q.conj().T @ y)
     small = q.conj().T @ m @ q
     vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
     vecs = q @ vecs
@@ -207,17 +245,21 @@ def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]
 def _sketch_for(m: np.ndarray, rank_bound: int, stored: tuple | None = None) -> tuple | None:
     """Range sketch of ``m`` for an expected rank ``rank_bound``; None if ``m`` is too small.
 
-    The one place that sizes and reuses sketches: ``m`` needs
-    ``SKETCH_MIN_RATIO`` rows per probe column, and ``stored``, an earlier
-    sketch of ``m``, is returned when it has the k columns asked for; the
-    probes' seed is fixed, so a new sketch would have the same bits.
+    The one place that sizes and reuses sketches.  It takes
+    ``k = max(rank_bound + SKETCH_OVERSAMPLE, 2 * SKETCH_OVERSAMPLE)``
+    probes, and ``m`` needs ``SKETCH_MIN_RATIO`` rows per probe.  It returns
+    ``_range_sketch``'s eigenvalues, eigenvectors and residual followed by
+    ``k``, since the number of kept columns varies with ``m``.  ``stored``,
+    an earlier sketch of ``m``, is returned when it was made with the k
+    probes asked for; the probes' seed is fixed, so a new sketch would have
+    the same bits.
     """
     k = max(rank_bound + SKETCH_OVERSAMPLE, 2 * SKETCH_OVERSAMPLE)
     if m.shape[0] < SKETCH_MIN_RATIO * k:
         return None
-    if stored is not None and len(stored[0]) == k:
+    if stored is not None and stored[3] == k:
         return stored
-    return _range_sketch(m, k)
+    return (*_range_sketch(m, k), k)
 
 
 def _conjugate_transpose(g: np.ndarray) -> np.ndarray:
@@ -307,6 +349,9 @@ class DensityMatrix:
     the matching per-subsystem dimensions.  Construction symmetrizes the
     matrix, (M + M^dag) / 2, when it is Hermitian within ``HERM_TOL`` and
     rejects it otherwise; validation changes the matrix in no other way.
+    No separate pass looks for non-finite entries: any of them makes the
+    Hermitian gap NaN or inf, and only then is ``np.isfinite`` run, to tell
+    them from a finite input whose difference overflowed.
     Positive semidefiniteness is accepted first from a range sketch whose
     residual certifies ``lambda_min >= -PSD_TOL / 2`` (``_sketch_for``),
     which settles a large low-rank matrix in O(n^2 k).  Otherwise it is
@@ -323,10 +368,11 @@ class DensityMatrix:
     factor.  The residual is a blocked sum of squares over one triangle,
     not bitwise ``np.linalg.norm``; it is only compared with tolerances.
 
-    The stored matrix is read-only.  A certifying sketch is kept, eigenpairs
-    and residual norm, in the private ``_sketch`` attribute, which takes no
-    part in comparison or repr; ``spectral.eig_hermitian`` reuses it instead
-    of sketching the same matrix again.
+    The stored matrix is read-only.  A certifying sketch is kept, eigenpairs,
+    residual norm and probe count, in the private ``_sketch`` attribute,
+    which takes no part in comparison or repr; ``spectral.eig_hermitian``
+    reuses it instead of sketching the same matrix again when it asks for
+    the same probe count.
     """
 
     subsystems: tuple[str, ...]
@@ -345,14 +391,19 @@ class DensityMatrix:
             )
         dims = _entries("dims", self.dims, _integer, len(subs))
         n = math.prod(dims)
-        given = _array("matrix", self.matrix, (n, n))
+        given = _numeric("matrix", self.matrix, (n, n))
         m = _conjugate_transpose(given)
         herm_gap = 0.0
-        for rows in _row_blocks(n, _SYMMETRIZE_ENTRIES):
-            g, h = given[rows], m[rows]
-            herm_gap = max(herm_gap, np.abs(g - h).max())
-            h += g
-            h /= 2.0
+        # A non-finite entry makes the gap NaN or inf (inf - inf is NaN, and
+        # says so as "invalid"); np.maximum keeps a NaN that max would drop.
+        with np.errstate(invalid="ignore"):
+            for rows in _row_blocks(n, _SYMMETRIZE_ENTRIES):
+                g, h = given[rows], m[rows]
+                herm_gap = np.maximum(herm_gap, np.abs(g - h).max())
+                h += g
+                h /= 2.0
+        if not math.isfinite(herm_gap) and not np.isfinite(given).all():
+            raise ContractError("matrix has non-finite entries")
         if herm_gap > HERM_TOL:
             raise ContractError(f"matrix is not Hermitian: max |M - M^dag| = {herm_gap:.3e}")
         tr = m.trace()

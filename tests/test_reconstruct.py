@@ -710,12 +710,12 @@ np.savez(sys.argv[1], **out)
 """
 
 
-def test_blas_thread_count_moves_only_the_last_bits(tmp_path):
-    """Outputs under one and two OpenBLAS threads, as the README scopes its determinism claim.
+def test_blas_thread_count_changes_no_bit(tmp_path):
+    """Outputs under one and two OpenBLAS threads are bitwise equal, as the README claims.
 
-    At (2,3,4) and (8,64,8) they are bitwise equal.  At (4,32,32) the range
-    sketch's QR completes a rank-4 probe block with rounding noise that
-    depends on the thread count, so amplitudes may differ in the last bits.
+    (4,32,32) sketches both inputs, one with a rank-4 probe block; the range
+    sketch is built from matrix products and small eigensolves, so no
+    thread-dependent rounding reaches the amplitudes.
     """
     dims = ["2,3,4", "8,64,8", "4,32,32"]
     runs = []
@@ -726,12 +726,10 @@ def test_blas_thread_count_moves_only_the_last_bits(tmp_path):
         assert proc.returncode == 0, proc.stderr
         runs.append(np.load(path))
     one, two = runs
-    for text in dims[:2]:
+    for text in dims:
         assert one[text].tobytes() == two[text].tobytes()
-    assert np.abs(one["4,32,32"] - two["4,32,32"]).max() <= 5e-16
     psi = haar(4, 32, 32, 7)
-    for amps in (one["4,32,32"], two["4,32,32"]):
-        assert fidelity(psi, PureState(psi.dims, amps)) >= 1.0 - 1e-15
+    assert fidelity(psi, PureState(psi.dims, one["4,32,32"])) >= 1.0 - 1e-15
 
 
 @pytest.mark.parametrize(

@@ -214,8 +214,24 @@ class TestLowRankSketch:
         rho_ab, rho_bc = partial_trace(psi, ("A", "B")), partial_trace(psi, ("B", "C"))
         sizes = spy_eigh(monkeypatch)
         report = reconstruct_tripartite(rho_ab, rho_bc, Dims(*dims))
-        assert len(sizes) == 5 and max(sizes) < 512
+        # rho_A, rho_B, rho_C, and three per sketch: rho_BC's at (4,32,32)
+        # and rho_AB's, of 32 columns kept from 40; both inputs at (8,64,8)
+        assert len(sizes) == 9 and max(sizes) <= 64
         assert abs(np.vdot(psi.amplitudes, report.state.amplitudes)) ** 2 >= 1.0 - 1e-12
+
+    def test_rank_32_rho_ab_is_sketched(self, monkeypatch):
+        # (4,32,32): 128 rows hold the 3 per probe column that 32 + 8 = 40 probes need.
+        psi = haar(4, 32, 32, 71)
+        rho = partial_trace(psi, ("A", "B"))
+        full = eig_hermitian(rho)
+        sizes = spy_eigh(monkeypatch)
+        sketched = eig_hermitian(rho, rank_bound=32)
+        assert sizes == [40, 32, 32]
+        assert sketched.rank == full.rank == 32
+        assert np.abs(sketched.eigenvalues - full.eigenvalues).max() <= 1e-13
+        proj_full = full.eigenvectors @ full.eigenvectors.conj().T
+        proj_sketch = sketched.eigenvectors @ sketched.eigenvectors.conj().T
+        assert np.abs(proj_sketch - proj_full).max() <= 1e-12
 
     def test_rank_above_sketch_falls_back(self, monkeypatch):
         rho = density_with_spectrum(np.linspace(1.0, 2.0, 40), 256, 73)

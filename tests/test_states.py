@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tripure import (
     DensityMatrix,
     Dims,
     PureState,
+    eig_hermitian,
     fidelity,
     flat_index,
     partial_trace,
@@ -320,6 +322,24 @@ class TestBoundary:
         with pytest.raises(ContractError, match="non-finite"):
             DensityMatrix(("A",), (n,), m)
 
+    @pytest.mark.parametrize("n", [2, 64])
+    @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.0, np.inf)])
+    def test_density_names_one_non_finite_entry(self, n, pos, bad):
+        # One entry, unmatched by its mirror, on or off the diagonal.
+        m = np.eye(n, dtype=complex) / n
+        m[pos] = bad
+        with pytest.raises(ContractError) as caught:
+            DensityMatrix(("A",), (n,), m)
+        assert str(caught.value) == "matrix has non-finite entries"
+
+    def test_density_overflowing_gap_is_not_hermitian(self):
+        m = np.eye(64, dtype=complex) / 64
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        with np.errstate(over="ignore"), pytest.raises(ContractError) as caught:
+            DensityMatrix(("A",), (64,), m)
+        assert str(caught.value) == "matrix is not Hermitian: max |M - M^dag| = inf"
+
     @staticmethod
     def rotated(diag, seed):
         rng = np.random.default_rng(seed)
@@ -378,6 +398,64 @@ class TestPsdCertificate:
         assert (refusal is None) == (lam_min > -1e-9)
 
 
+class TestSketchOracles:
+    """The sketch certificate and eig_hermitian's sketch against eigvalsh and eigh oracles."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(48, 256),
+        rank=st.integers(1, 40),
+        tail=st.sampled_from([0.0, 5e-11, 1e-8]),
+        tail_count=st.integers(1, 30),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sketch_agrees_with_dense_oracles(self, n, rank, tail, tail_count, planted, seed):
+        rng = np.random.default_rng(seed)
+        tail_vals = [tail] * min(tail_count if tail else 0, n - rank - 1)
+        planted_vals = [-2e-9] if planted else []
+        positive = rng.uniform(0.5, 1.5, rank)
+        positive *= (1.0 - sum(tail_vals) - sum(planted_vals)) / positive.sum()
+        vals = np.concatenate([positive, tail_vals, planted_vals])
+        z = rng.standard_normal((n, vals.size)) + 1j * rng.standard_normal((n, vals.size))
+        q, _ = np.linalg.qr(z)
+        m = (q * vals) @ q.conj().T
+        if planted:
+            with pytest.raises(ContractError) as caught:
+                DensityMatrix(("A",), (n,), m)
+            assert type(caught.value) is ContractError
+            assert str(caught.value) == psd_refusal_cholesky(symmetrized(m))
+            return
+        rho = DensityMatrix(("A",), (n,), m)
+        if rho._sketch is not None:
+            assert np.linalg.eigvalsh(rho.matrix)[0] >= -states.PSD_TOL / 2 - 1e-15
+        dense = eig_hermitian(rho)
+        sizes = []
+        real = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            return real(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "eigh", spy):
+            spec = eig_hermitian(rho, rank_bound=dense.rank)
+        if n in sizes:  # the certificate refused the sketch and the dense solve ran
+            return
+        assert spec.rank == dense.rank
+        # The rank planted eigenvalues lie at least 1 / (3 * rank) above the
+        # tail, so their projector is well conditioned.  The eigenvectors of a
+        # kept 1e-8 tail are fixed by any solver only to about eps / 1e-8, so
+        # the tail is compared through V diag(lam) V^dag, which is not.
+        top, top_dense = spec.eigenvectors[:, :rank], dense.eigenvectors[:, :rank]
+        proj = top @ top.conj().T - top_dense @ top_dense.conj().T
+        assert np.abs(proj).max() <= 1e-12
+        kept = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+        kept -= (dense.eigenvectors * dense.eigenvalues) @ dense.eigenvectors.conj().T
+        assert np.abs(kept).max() <= 1e-12
+        gram = spec.eigenvectors.conj().T @ spec.eigenvectors
+        assert np.abs(gram - np.eye(spec.rank)).max() <= 1e-13
+
+
 def spy_calls(monkeypatch, name):
     """Record the size of every ``numpy.linalg.<name>`` call; returns the list."""
     sizes = []
@@ -406,16 +484,22 @@ class TestPsdCertificateCost:
         DensityMatrix(("A",), (128,), m)
         assert cholesky == [128]
 
-    def test_reconstruct_makes_four_eigh_and_no_eigvalsh(self, monkeypatch):
-        # rho_A, rho_B, rho_C and the 128x128 rho_AB; the 1024x1024 rho_BC
-        # reuses the sketch that validated it.
+    def test_reconstruct_makes_six_small_eigh_and_no_eigvalsh(self, monkeypatch):
+        # rho_A, rho_B and rho_C, then the 128x128 rho_AB's sketch with 40
+        # probes: the Gram eigensolve of all 40, then the second pass and the
+        # Rayleigh-Ritz solve of the 32 kept.  The 1024x1024 rho_BC reuses
+        # the sketch that validated it.
         psi = haar(4, 32, 32, 93)
         rho_ab = DensityMatrix(("A", "B"), (4, 32), partial_trace(psi, ("A", "B")).matrix)
         rho_bc = DensityMatrix(("B", "C"), (32, 32), partial_trace(psi, ("B", "C")).matrix)
         eigh = spy_calls(monkeypatch, "eigh")
         eigvalsh = spy_calls(monkeypatch, "eigvalsh")
         reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
-        assert len(eigh) == 4 and eigvalsh == []
+        assert eigh == [4, 32, 32, 40, 32, 32] and eigvalsh == []
+
+    # Sketches that reconstruction adds after validation, by (n, k): 16 probes
+    # cannot certify the rank-32 rho_AB at (4,32,32), so it is sketched with 40.
+    RESKETCHED = {(4, 32, 32): [(128, 40)]}
 
     @pytest.mark.parametrize("dims", [(4, 32, 32), (8, 64, 8)])
     def test_each_large_input_is_sketched_once(self, monkeypatch, dims):
@@ -423,7 +507,7 @@ class TestPsdCertificateCost:
         real = states._range_sketch
 
         def spy(m, k):
-            sizes.append(m.shape[0])
+            sizes.append((m.shape[0], k))
             return real(m, k)
 
         monkeypatch.setattr(states, "_range_sketch", spy)
@@ -431,13 +515,15 @@ class TestPsdCertificateCost:
         d_a, d_b, d_c = dims
         rho_ab = DensityMatrix(("A", "B"), (d_a, d_b), partial_trace(psi, ("A", "B")).matrix)
         rho_bc = DensityMatrix(("B", "C"), (d_b, d_c), partial_trace(psi, ("B", "C")).matrix)
-        assert sizes == [d_a * d_b, d_b * d_c]
+        assert sizes == [(d_a * d_b, 16), (d_b * d_c, 16)]
         reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
-        assert sizes == [d_a * d_b, d_b * d_c]
+        assert sizes == [(d_a * d_b, 16), (d_b * d_c, 16)] + self.RESKETCHED.get(dims, [])
 
     # Per dims of sample_haar_state(dims, 7): the solver calls, by (solver, size),
     # of validating rho_AB and rho_BC from raw matrices, then of reconstructing.
-    # A sketch is keyed by (n, k); its eigh of the k x k projection counts too.
+    # A sketch is keyed by (n, k); its eigh calls count too: the Gram
+    # eigensolve of all k probes, then the second pass and the Rayleigh-Ritz
+    # solve of the columns kept, as many as the rank while it is below k.
     SOLVER_CALLS = {
         (2, 2, 2): (
             {("cholesky", 4): 2},
@@ -448,13 +534,13 @@ class TestPsdCertificateCost:
             {("eigh", 3): 3, ("eigh", 9): 2},
         ),
         (8, 64, 8): (
-            {("sketch", (512, 16)): 2, ("eigh", 16): 2},
+            {("sketch", (512, 16)): 2, ("eigh", 16): 2, ("eigh", 8): 4},
             {("eigh", 8): 2, ("eigh", 64): 1},
         ),
         (4, 32, 32): (
-            {("sketch", (1024, 16)): 1, ("sketch", (128, 16)): 1, ("eigh", 16): 2,
-             ("cholesky", 128): 1},
-            {("eigh", 4): 1, ("eigh", 32): 2, ("eigh", 128): 1},
+            {("sketch", (1024, 16)): 1, ("sketch", (128, 16)): 1, ("eigh", 16): 4,
+             ("eigh", 4): 2, ("cholesky", 128): 1},
+            {("sketch", (128, 40)): 1, ("eigh", 40): 1, ("eigh", 4): 1, ("eigh", 32): 4},
         ),
     }
 
