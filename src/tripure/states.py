@@ -204,9 +204,15 @@ def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]
     formed from ``m`` itself, so it sums every direction the kept columns
     miss.
 
-    Rayleigh-Ritz on the kept columns ``Q`` (the eigenpairs of the small
-    ``Q^dag m Q``) gives one eigenpair per kept column in ascending order,
-    as ``numpy.linalg.eigh`` does, and the Frobenius norm of the residual
+    Rayleigh-Ritz on the kept columns ``Q`` gives one eigenpair per kept
+    column in ascending order, as ``numpy.linalg.eigh`` does.  It takes the
+    single-pass form for Hermitian matrices (Halko et al., section 5.5), so
+    ``m`` is not read again: the small matrix is the least-squares solution
+    ``B`` of ``B (Q^dag P) = Q^dag Y`` for the probes ``P``, rather than
+    ``Q^dag m Q``.  The two agree up to rounding when ``Q`` spans the range
+    of ``m``, as it does for a matrix of rank below k; an inaccurate ``B``
+    can only fail a certificate, for the same reason a dropped column can.
+    Last comes the Frobenius norm of the residual
     ``m - V diag(lam) V^dag``.  That residual is Hermitian, so each row
     block forms it only from its diagonal block rightwards and counts the
     part right of the diagonal block twice: a blocked sum of squares over
@@ -214,12 +220,11 @@ def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]
     ``np.linalg.norm`` and is only compared with tolerances.
     """
     n = m.shape[0]
-    y = m @ _probes(n, k)
+    probes = _probes(n, k)
+    y = y0 = m @ probes
     floor = (n * np.finfo(float).eps) ** 2 * np.vdot(y, y).real
     q = y[:, :0]
-    # "not <=" lets a NaN in, from an input whose symmetrization overflowed,
-    # so that eigh raises LinAlgError rather than leaving an empty sketch.
-    while y.shape[1] and not np.vdot(y, y).real <= floor:
+    while y.shape[1] and np.vdot(y, y).real > floor:
         w, u = np.linalg.eigh(y.conj().T @ y)
         drop = w.size - int(np.count_nonzero(w > PSD_TOL * w[-1]))
         block = y @ (u[:, drop:] / np.sqrt(w[drop:]))
@@ -228,7 +233,11 @@ def _range_sketch(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]
         q = np.hstack([q, block @ (v / np.sqrt(w))])
         y = y @ u[:, :drop]
         y -= q @ (q.conj().T @ y)
-    small = q.conj().T @ m @ q
+    qh = q.conj().T
+    qp, qy = qh @ probes, qh @ y0
+    del y, y0  # not held through the residual pass
+    # The solve gives B^dag, whose Hermitian part is B's.
+    small = np.linalg.lstsq(qp.conj().T, qy.conj().T, rcond=None)[0]
     vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
     vecs = q @ vecs
     left, right = vecs * vals, vecs.conj().T
@@ -351,7 +360,24 @@ class DensityMatrix:
     rejects it otherwise; validation changes the matrix in no other way.
     No separate pass looks for non-finite entries: any of them makes the
     Hermitian gap NaN or inf, and only then is ``np.isfinite`` run, to tell
-    them from a finite input whose difference overflowed.
+    them from a finite input whose difference overflowed.  The gap is
+    screened block by block through its sum of squares, which bounds every
+    entry, so only a block that could hold an entry above ``HERM_TOL``, or
+    a NaN, takes the entrywise modulus.
+
+    An entry larger than any accepted matrix can hold is refused as not
+    positive semidefinite, after the Hermitian and trace checks and before
+    any arithmetic that it could overflow.  The bound: an accepted ``M`` has
+    no eigenvalue below ``-PSD_TOL`` and a trace of at most ``1 +
+    TRACE_TOL``, so ``||M||_F <= sum |lambda_i| <= tr M + 2 n PSD_TOL``;
+    the input differs from ``M`` by at most ``HERM_TOL / 2`` an entry, so
+    by ``n HERM_TOL / 2`` in Frobenius norm.  So the input's Frobenius norm,
+    and with it each row block's and each entry's modulus, is at most
+    ``1 + TRACE_TOL + n (2 PSD_TOL + HERM_TOL)`` for every accepted matrix,
+    with room to spare for rounding.  Only a row block whose sum of squares
+    exceeds that takes the entrywise modulus, and an entry above it is
+    refused.
+
     Positive semidefiniteness is accepted first from a range sketch whose
     residual certifies ``lambda_min >= -PSD_TOL / 2`` (``_sketch_for``),
     which settles a large low-rank matrix in O(n^2 k).  Otherwise it is
@@ -361,10 +387,10 @@ class DensityMatrix:
 
     The stored matrix is allocated C-ordered whatever the input's layout and
     first receives ``conj(M^T)`` tile by tile (``_conjugate_transpose``);
-    the Hermitian check, the sum and the halving then run in place over row
-    blocks of ``_SYMMETRIZE_ENTRIES`` (about 256 KiB), and the sketch
-    residual over row blocks of ``_BLOCK_ENTRIES`` (``_row_blocks``), so no
-    n x n temporary is held beyond the stored matrix and the Cholesky
+    the Hermitian and size checks, the sum and the halving then run in place
+    over row blocks of ``_SYMMETRIZE_ENTRIES`` (about 256 KiB), and the
+    sketch residual over row blocks of ``_BLOCK_ENTRIES`` (``_row_blocks``),
+    so no n x n temporary is held beyond the stored matrix and the Cholesky
     factor.  The residual is a blocked sum of squares over one triangle,
     not bitwise ``np.linalg.norm``; it is only compared with tolerances.
 
@@ -393,15 +419,30 @@ class DensityMatrix:
         n = math.prod(dims)
         given = _numeric("matrix", self.matrix, (n, n))
         m = _conjugate_transpose(given)
-        herm_gap = 0.0
+        herm_gap = largest = 0.0
+        bound = 1.0 + TRACE_TOL + n * (2.0 * PSD_TOL + HERM_TOL)
         # A non-finite entry makes the gap NaN or inf (inf - inf is NaN, and
         # says so as "invalid"); np.maximum keeps a NaN that max would drop.
-        with np.errstate(invalid="ignore"):
+        # Screening at HERM_TOL / 2 leaves room for the rounding of the sum
+        # of squares.  A sum of an entry pair that overflows is refused by
+        # the size check.
+        with np.errstate(invalid="ignore", over="ignore"):
             for rows in _row_blocks(n, _SYMMETRIZE_ENTRIES):
                 g, h = given[rows], m[rows]
-                herm_gap = np.maximum(herm_gap, np.abs(g - h).max())
+                d = g - h
+                if not np.vdot(d, d).real <= (HERM_TOL / 2.0) ** 2:
+                    herm_gap = np.maximum(herm_gap, np.abs(d).max())
+                del d  # not held while the next block's difference is formed
+                if not np.vdot(g, g).real <= bound**2:
+                    largest = np.maximum(largest, np.abs(g).max())
                 h += g
-                h /= 2.0
+                # h /= 2.0 bit for bit, signed zeros too, in two vectorized
+                # passes: complex division by 2 + 0j forms (re + im * 0) / 2
+                # and (im - re * 0) / 2, and a multiplication by 1 - 0j forms
+                # the same two numerators exactly.
+                h *= complex(1.0, -0.0)
+                halves = h.view(float)
+                halves *= 0.5
         if not math.isfinite(herm_gap) and not np.isfinite(given).all():
             raise ContractError("matrix has non-finite entries")
         if herm_gap > HERM_TOL:
@@ -409,6 +450,11 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ContractError(f"trace {complex(tr)!r} deviates from 1 by more than {TRACE_TOL}")
+        if largest > bound:
+            raise ContractError(
+                f"matrix is not positive semidefinite: max |M_ij| = {largest:.3e} "
+                f"exceeds {bound:.10g}"
+            )
         sketch = _sketch_for(m, 0)
         # Weyl: lambda_min(m) >= min(lam_min, 0) - ||m - V diag(lam) V^dag||_F
         if sketch is not None and min(sketch[0][0], 0.0) - sketch[2] < -PSD_TOL / 2:

@@ -386,6 +386,25 @@ class TestBoundaryRefusals:
         assert code == 2
         assert not out.exists() and not report.exists()
 
+    @pytest.mark.parametrize("dims", ["2,2,2", "4,16,4"])
+    @pytest.mark.parametrize("value", [1e308, 1e200])
+    @pytest.mark.parametrize("command", ["reconstruct", "marginals"])
+    def test_large_entry_is_refused_as_not_psd(self, tmp_path, dims, value, command):
+        ab, bc = write_marginals(tmp_path, haar(*map(int, dims.split(",")), 3), "big")
+        doc = json.loads(ab.read_text())
+        doc["data"][0][1] = doc["data"][1][0] = [value, 0.0]
+        ab.write_text(json.dumps(doc))
+        out = tmp_path / "never.json"
+        if command == "reconstruct":
+            args = ["reconstruct", "--ab", ab, "--bc", bc, "--dims", dims, "--out", out]
+        else:
+            args = ["marginals", "--in", ab, "--keep", "A", "--out", out]
+        proc = run_child(*args)
+        assert_one_error_line(proc)
+        assert f"not positive semidefinite: max |M_ij| = {value:.3e} exceeds" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
     def test_roundtrip_failure_before_spectra_is_reported(self, tmp_path):
         report = tmp_path / "rt.json"
         code = main(

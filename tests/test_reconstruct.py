@@ -33,7 +33,8 @@ from tripure import (
     sample_haar_state,
     solve_phases,
 )
-from tripure.reconstruct import _marginal_residual
+from tripure import reconstruct
+from tripure.reconstruct import _certified_residual, _marginal_residual
 from tripure.spectral import SpectralDecomposition, SpectrumPairing
 
 from conftest import haar, marginal_pair, planted_state, run_child
@@ -694,6 +695,94 @@ class TestBlockedMarginalResidual:
                 assert abs(residual - expected) <= max(1e-12 * expected, 1e-18)
 
 
+def validated_pair(psi):
+    """rho_AB and rho_BC of ``psi`` validated from raw matrices, so large ones keep a sketch."""
+    d_a, d_b, d_c = psi.dims.as_tuple()
+    return (
+        DensityMatrix(("A", "B"), (d_a, d_b), partial_trace(psi, ("A", "B")).matrix),
+        DensityMatrix(("B", "C"), (d_b, d_c), partial_trace(psi, ("B", "C")).matrix),
+    )
+
+
+def spy_residual_rows(monkeypatch):
+    """Record the row count of every exact marginal residual reconstruction forms."""
+    rows = []
+    real = reconstruct._residual_norm
+
+    def spy(left, right, m):
+        rows.append(m.shape[0])
+        return real(left, right, m)
+
+    monkeypatch.setattr(reconstruct, "_residual_norm", spy)
+    return rows
+
+
+class TestCertifiedResidual:
+    """A validation sketch's bound stands for the residual: above the exact value by at most s."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(8, 8, 8), (4, 16, 4), (8, 64, 8), (4, 32, 32)],
+        ids=lambda d: "x".join(map(str, d)),
+    )
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_reported_residual_brackets_the_exact_one(self, dims, seed):
+        psi = haar(*dims, seed)
+        other = haar(*dims, seed + 100)
+        rho_ab, rho_bc = validated_pair(psi)
+        rep = reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        assert rho_bc._sketch is not None
+        reported = {"AB": rep.marginal_residual_ab, "BC": rep.marginal_residual_bc}
+        for rho in (rho_ab, rho_bc):
+            exact = _marginal_residual(rep.state, rho)
+            reported_value = reported["".join(rho.subsystems)]
+            if rho._sketch is None:  # the rank-32 rho_AB at (4,32,32)
+                assert reported_value == exact
+                assert _certified_residual(other, rho) is None
+                continue
+            s = rho._sketch[2]
+            for state, value in ((rep.state, reported_value), (other, None)):
+                exact = _marginal_residual(state, rho)
+                value = _certified_residual(state, rho) if value is None else value
+                assert exact - 1e-14 <= value <= exact + s + 1e-14
+
+    def test_inflated_sketch_residual_takes_the_exact_path(self, monkeypatch):
+        psi = haar(8, 64, 8, 7)
+        rho_ab, rho_bc = validated_pair(psi)
+        vals, vecs, _, k = rho_bc._sketch
+        object.__setattr__(rho_bc, "_sketch", (vals, vecs, 2.0 * DEFAULTS.marginal_tol, k))
+        rows = spy_residual_rows(monkeypatch)
+        rep = reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        assert rows == [512]
+        assert rep.marginal_residual_bc == _marginal_residual(rep.state, rho_bc)
+        assert fidelity(psi, rep.state) >= 1.0 - 1e-15
+
+    def test_marginal_tol_below_the_bound_takes_the_exact_path(self, monkeypatch):
+        psi = haar(8, 64, 8, 7)
+        rho_ab, rho_bc = validated_pair(psi)
+        state = reconstruct_tripartite(rho_ab, rho_bc, psi.dims).state
+        exact = [_marginal_residual(state, rho) for rho in (rho_ab, rho_bc)]
+        worst = int(np.argmax(exact))
+        bound = _certified_residual(state, (rho_ab, rho_bc)[worst])
+        assert exact[worst] < bound
+        config = ReconstructionConfig(marginal_tol=(exact[worst] + bound) / 2.0)
+        rows = spy_residual_rows(monkeypatch)
+        rep = reconstruct_tripartite(rho_ab, rho_bc, psi.dims, config)
+        assert rows == [512]
+        reported = (rep.marginal_residual_ab, rep.marginal_residual_bc)[worst]
+        assert reported == exact[worst]
+        assert rep.state.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("dims", [(4, 32, 32), (8, 64, 8)], ids=["lopsided", "cli"])
+    def test_no_exact_residual_of_a_certified_input(self, monkeypatch, dims):
+        psi = haar(*dims, 7)
+        rho_ab, rho_bc = validated_pair(psi)
+        rows = spy_residual_rows(monkeypatch)
+        reconstruct_tripartite(rho_ab, rho_bc, psi.dims)
+        # Only the 128-row rho_AB at (4,32,32), which its 16 probes do not certify.
+        assert rows == ([128] if dims == (4, 32, 32) else [])
+
+
 # Reconstructs validated seed-7 Haar inputs at each dims and saves the amplitudes.
 _RECONSTRUCT_DIMS = """\
 import sys
@@ -730,6 +819,18 @@ def test_blas_thread_count_changes_no_bit(tmp_path):
         assert one[text].tobytes() == two[text].tobytes()
     psi = haar(4, 32, 32, 7)
     assert fidelity(psi, PureState(psi.dims, one["4,32,32"])) >= 1.0 - 1e-15
+
+
+def test_blas_thread_count_changes_no_bit_where_rho_b_is_sketched(tmp_path):
+    """At (2,128,2) the 128-row rho_B is sketched, so one and two threads agree bitwise."""
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.npz"
+        env = {"OPENBLAS_NUM_THREADS": threads}
+        proc = run_child(path, "2,128,2", code=_RECONSTRUCT_DIMS, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(np.load(path)["2,128,2"])
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 @pytest.mark.parametrize(

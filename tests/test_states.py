@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -361,6 +363,131 @@ class TestBoundary:
         np.testing.assert_array_equal(rho.matrix, m)
 
 
+def raises_exactly(cls, message):
+    return pytest.raises(cls, match="^" + re.escape(message) + "$")
+
+
+def entrywise_refusal(m):
+    """The refusal of the entrywise non-finite and Hermitian rules for ``m``, or None."""
+    gap = np.abs(m - m.conj().T).max()
+    if not np.isfinite(m).all():
+        return "matrix has non-finite entries"
+    if gap > states.HERM_TOL:
+        return f"matrix is not Hermitian: max |M - M^dag| = {gap:.3e}"
+    return None
+
+
+class TestHermitianScreen:
+    """Blocks screened by their sum of squares get the entrywise rule's outcome and message.
+
+    The 1024 x 1024 rho_BC of a (4,32,32) state has 64 row blocks of 16 rows.
+    """
+
+    N = 1024
+    LAST = N - 1
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return partial_trace(haar(4, 32, 32, 11), ("B", "C")).matrix
+
+    @pytest.mark.parametrize("size", [1.0001e-10, 0.9999e-10], ids=["above", "below"])
+    @pytest.mark.parametrize("where", [(0, 5), (LAST, LAST - 2)], ids=["first", "last"])
+    def test_one_planted_entry(self, base, size, where):
+        m = base.copy()
+        m[where] += size * (0.6 + 0.8j)
+        self.check(m)
+
+    def test_many_small_entries_over_one_block(self, base):
+        # 16 entries of 0.9 HERM_TOL in the first block: its Frobenius norm
+        # is 3.6 HERM_TOL, but no entry is over the tolerance.
+        m = base.copy()
+        rows = np.arange(16)
+        m[rows, 512 + rows] += 0.9e-10
+        self.check(m)
+        assert entrywise_refusal(m) is None
+
+    def test_nan_in_last_block(self, base):
+        m = base.copy()
+        m[self.LAST, self.LAST - 1] = np.nan
+        self.check(m)
+
+    def check(self, m):
+        refusal = entrywise_refusal(m)
+        if refusal is None:
+            rho = DensityMatrix(("B", "C"), (32, 32), m)
+            assert rho.matrix.tobytes() == symmetrized(m).tobytes()
+        else:
+            with raises_exactly(ContractError, refusal):
+                DensityMatrix(("B", "C"), (32, 32), m)
+
+
+class TestLargeEntries:
+    """An entry above any accepted matrix's is refused by the PSD rule, with no warning.
+
+    Each input is a Haar marginal with one planted off-diagonal pair: 1e308
+    overflows the symmetrizing sum, 1e200 the sketch's sums of squares.
+    """
+
+    @staticmethod
+    def bound(n):
+        return 1.0 + states.TRACE_TOL + n * (2.0 * states.PSD_TOL + states.HERM_TOL)
+
+    @pytest.mark.parametrize("value", [1e308, 1e200, 1e5, 1.5])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 16, 4), (4, 32, 32)], ids=["4", "64", "1024"])
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_refused_as_not_psd(self, value, dims, action):
+        m = partial_trace(haar(*dims, 3), ("B", "C")).matrix.copy()
+        n = m.shape[0]
+        m[0, 1] = m[1, 0] = value
+        message = (
+            f"matrix is not positive semidefinite: max |M_ij| = {value:.3e} "
+            f"exceeds {self.bound(n):.10g}"
+        )
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action)
+            with raises_exactly(ContractError, message):
+                DensityMatrix(("B", "C"), dims[1:], m)
+        assert seen == []
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_pure_state_meets_the_bound(self, n):
+        # |0><0| has the largest entry a trace-one PSD matrix can have.
+        m = np.zeros((n, n), dtype=complex)
+        m[0, 0] = 1.0 + 0.9 * states.TRACE_TOL
+        assert DensityMatrix(("A",), (n,), m).matrix[0, 0] == m[0, 0]
+
+    def test_earlier_checks_keep_their_messages(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = 1e200
+        with raises_exactly(ContractError, entrywise_refusal(m)):
+            DensityMatrix(("A",), (4,), m)
+        m[1, 0] = 1e200
+        m[2, 2] = 5.0
+        with raises_exactly(ContractError, "trace (5.75+0j) deviates from 1 by more than 1e-10"):
+            DensityMatrix(("A",), (4,), m)
+
+
+class TestHalvingBits:
+    """The halving of (M + M^dag) keeps the bits of a complex division by 2.0.
+
+    Every off-diagonal pair takes its real and imaginary parts from signed
+    zeros and subnormals, including -5e-324, whose half rounds to -0.0.
+    """
+
+    PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-20]
+
+    @pytest.mark.parametrize("n", [70, 1000])
+    def test_stored_bytes_equal_full_symmetrization(self, n):
+        m = np.eye(n, dtype=complex) / n
+        upper = np.triu_indices(n, 1)
+        combos = np.array(list(itertools.product(self.PARTS, repeat=4)))
+        picks = combos[np.arange(upper[0].size) % len(combos)]
+        m.real[upper], m.imag[upper] = picks[:, 0], picks[:, 1]
+        m.T.real[upper], m.T.imag[upper] = picks[:, 2], picks[:, 3]
+        rho = DensityMatrix(("A",), (n,), m)
+        assert rho.matrix.tobytes() == symmetrized(m).tobytes()
+
+
 def planted_matrix(n, rank, lam_min, seed):
     """n x n Hermitian-up-to-rounding trace-one matrix on a random basis.
 
@@ -541,6 +668,13 @@ class TestPsdCertificateCost:
             {("sketch", (1024, 16)): 1, ("sketch", (128, 16)): 1, ("eigh", 16): 4,
              ("eigh", 4): 2, ("cholesky", 128): 1},
             {("sketch", (128, 40)): 1, ("eigh", 40): 1, ("eigh", 4): 1, ("eigh", 32): 4},
+        ),
+        # rho_A and rho_C, then rho_B, whose rank is at most rank(rho_A) *
+        # rank(rho_C) = 4: its 128 rows are sketched with 16 probes, not
+        # solved densely.  Both inputs reuse their validation sketches.
+        (2, 128, 2): (
+            {("sketch", (256, 16)): 2, ("eigh", 16): 2, ("eigh", 2): 4},
+            {("eigh", 2): 2, ("sketch", (128, 16)): 1, ("eigh", 16): 1, ("eigh", 4): 2},
         ),
     }
 
